@@ -199,7 +199,8 @@ int main(int argc, char** argv) {
   sim::RecordingTap lossy_tap;
   int seen = 0;
   lossy_tap.set_to_prover_script([&seen](const sim::TappedMessage&) {
-    return sim::ChannelTap::Disposition{(seen++ % 2) == 0, 0.0};
+    return sim::ChannelTap::Disposition{(seen++ % 2) == 0, 0.0,
+                                        std::nullopt, {}};
   });
   swarm.channel(3).set_tap(&lossy_tap);
 

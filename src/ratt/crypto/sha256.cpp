@@ -32,6 +32,9 @@ void Sha256::reset() {
 }
 
 void Sha256::update(ByteView data) {
+  // An empty view may carry a null pointer, and memcpy from null is
+  // undefined even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

@@ -1,7 +1,9 @@
 #include "ratt/obs/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstring>
 
 #include "ratt/obs/metrics.hpp"
 
@@ -9,58 +11,170 @@ namespace ratt::obs {
 
 namespace {
 
+// Every to_chars below writes into room the caller has already reserved:
+// a shortest round-trip double needs at most 24 chars, a uint64 at most 20.
+constexpr std::size_t kMaxDouble = 32;
+constexpr std::size_t kMaxU64 = 24;
+
+template <std::size_t N>
+char* put(char* p, const char (&literal)[N]) {
+  std::memcpy(p, literal, N - 1);
+  return p + N - 1;
+}
+
+char* put_double(char* p, double v) {
+  return std::to_chars(p, p + kMaxDouble, v).ptr;
+}
+
+char* put_u64(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + kMaxU64, v).ptr;
+}
+
 void append_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
+  char buf[kMaxDouble];
+  out.append(buf, put_double(buf, v));
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
+  char buf[kMaxU64];
+  out.append(buf, put_u64(buf, v));
 }
 
 // Labels are controlled vocabulary, but escape anyway so arbitrary
 // outcomes can't break the framing. Full RFC-8259 coverage: every control
-// character (< 0x20) must be escaped, not just newline.
-void append_json_string(std::string& out, const std::string& s) {
+// character (< 0x20) must be escaped, not just newline. A byte expands
+// to at most 6 ("\u00XX").
+char* put_json_string(char* p, const std::string& s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  out += '"';
+  *p++ = '"';
   for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (u >= 0x20 && c != '"' && c != '\\') {
+      *p++ = c;
+      continue;
+    }
+    *p++ = '\\';
     switch (c) {
       case '"':
-        out += "\\\"";
-        break;
       case '\\':
-        out += "\\\\";
+        *p++ = c;
         break;
       case '\n':
-        out += "\\n";
+        *p++ = 'n';
         break;
       case '\r':
-        out += "\\r";
+        *p++ = 'r';
         break;
       case '\t':
-        out += "\\t";
+        *p++ = 't';
         break;
       case '\b':
-        out += "\\b";
+        *p++ = 'b';
         break;
       case '\f':
-        out += "\\f";
+        *p++ = 'f';
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xF];
-          out += kHex[static_cast<unsigned char>(c) & 0xF];
-        } else {
-          out += c;
-        }
+        p = put(p, "u00");
+        *p++ = kHex[u >> 4];
+        *p++ = kHex[u & 0xF];
     }
   }
-  out += '"';
+  *p++ = '"';
+  return p;
+}
+
+// Shortest round-trip text of recently formatted doubles, keyed by bit
+// pattern. The cost and power columns take a handful of values (one per
+// phase and outcome), and std::to_chars on them is most of the cost of a
+// line, so a trace mostly copies text it has already formatted.
+class DoubleTextCache {
+ public:
+  char* put(char* p, double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    Entry& e = entries_[(bits * 0x9e3779b97f4a7c15ull) >> (64 - kLog2Entries)];
+    if (e.len == 0 || e.bits != bits) {
+      e.bits = bits;
+      e.len = static_cast<std::uint8_t>(put_double(e.text, v) - e.text);
+    }
+    std::memcpy(p, e.text, kMaxDouble);
+    return p + e.len;
+  }
+
+ private:
+  static constexpr int kLog2Entries = 6;
+  struct Entry {
+    std::uint64_t bits = 0;
+    std::uint8_t len = 0;  // 0 = empty
+    char text[kMaxDouble] = {};
+  };
+  Entry entries_[1 << kLog2Entries];
+};
+
+// Upper bound on one formatted JSONL line, newline included: keys and
+// punctuation (< 160 bytes), five doubles, four integers, and both
+// labels at their worst-case escaped size.
+std::size_t jsonl_bound(const TraceRecord& rec) {
+  return 160 + 5 * kMaxDouble + 4 * kMaxU64 +
+         6 * (rec.kind.size() + rec.outcome.size());
+}
+
+// The one JSONL formatter: writes `rec` (no newline) at p, which must
+// have jsonl_bound(rec) bytes of room, and returns the end. Timestamps
+// rarely repeat, so only the other doubles go through the cache.
+char* format_jsonl(char* p, const TraceRecord& rec, DoubleTextCache& cache) {
+  p = put(p, "{\"sim_time_ms\":");
+  p = put_double(p, rec.sim_time_ms);
+  p = put(p, ",\"device_id\":");
+  p = put_u64(p, rec.device_id);
+  p = put(p, ",\"kind\":");
+  p = put_json_string(p, rec.kind);
+  p = put(p, ",\"outcome\":");
+  p = put_json_string(p, rec.outcome);
+  p = put(p, ",\"prover_ms\":");
+  p = cache.put(p, rec.prover_ms);
+  p = put(p, ",\"verifier_ms\":");
+  p = cache.put(p, rec.verifier_ms);
+  p = put(p, ",\"bytes\":");
+  p = put_u64(p, rec.bytes);
+  p = put(p, ",\"energy_mj\":");
+  p = cache.put(p, rec.energy_mj);
+  p = put(p, ",\"power_mw\":");
+  p = cache.put(p, rec.power_mw);
+  p = put(p, ",\"round_id\":");
+  p = put_u64(p, rec.round_id);
+  p = put(p, ",\"attempt\":");
+  p = put_u64(p, rec.attempt);
+  *p++ = '}';
+  return p;
+}
+
+// One merge input: a record's sort key and where it lives.
+struct MergeKey {
+  double sim_time_ms;
+  std::uint64_t device_id;
+  const TraceRecord* rec;
+};
+
+void add_key(std::vector<MergeKey>& keys, const TraceRecord& rec) {
+  keys.push_back(MergeKey{rec.sim_time_ms, rec.device_id, &rec});
+}
+
+// The one merge routine. `keys` holds the streams concatenated in order;
+// a stable sort on (time, device) leaves ties in (stream, position)
+// order. Only the small keys move; each record is copied once, at the end.
+std::vector<TraceRecord> merge_keys(std::vector<MergeKey>& keys) {
+  std::stable_sort(keys.begin(), keys.end(),
+                   [](const MergeKey& a, const MergeKey& b) {
+                     if (a.sim_time_ms != b.sim_time_ms) {
+                       return a.sim_time_ms < b.sim_time_ms;
+                     }
+                     return a.device_id < b.device_id;
+                   });
+  std::vector<TraceRecord> out;
+  out.reserve(keys.size());
+  for (const MergeKey& key : keys) out.push_back(*key.rec);
+  return out;
 }
 
 // RFC-4180: quote a field whenever it holds a comma, a quote or a line
@@ -84,86 +198,92 @@ void append_csv_field(std::string& out, const std::string& s) {
 }  // namespace
 
 RingRecorder::RingRecorder(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  blocks_.resize((capacity_ + kBlockRecords - 1) >> kBlockShift);
+}
 
 void RingRecorder::record(const TraceRecord& rec) {
-  if (size_ == ring_.size() && dropped_counter_ != nullptr) {
-    dropped_counter_->inc();
-  }
-  ring_[head_] = rec;
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) ++size_;
   ++total_;
+  if (size_ < capacity_) {
+    std::vector<TraceRecord>& block = blocks_[size_ >> kBlockShift];
+    if (block.capacity() == 0) {
+      block.reserve(std::min(kBlockRecords, capacity_ - size_));
+    }
+    block.push_back(rec);
+    ++size_;
+    return;
+  }
+  if (dropped_counter_ != nullptr) dropped_counter_->inc();
+  blocks_[head_ >> kBlockShift][head_ & (kBlockRecords - 1)] = rec;
+  head_ = (head_ + 1 == capacity_) ? 0 : head_ + 1;
 }
 
 std::uint64_t RingRecorder::dropped() const { return total_ - size_; }
 
+std::size_t RingRecorder::allocated() const {
+  std::size_t slots = 0;
+  for (const auto& block : blocks_) slots += block.capacity();
+  return slots;
+}
+
 std::vector<TraceRecord> RingRecorder::snapshot() const {
   std::vector<TraceRecord> out;
   out.reserve(size_);
-  // Oldest record sits at head_ once the ring has wrapped.
-  const std::size_t start = (size_ == ring_.size()) ? head_ : 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  for_each([&out](const TraceRecord& rec) { out.push_back(rec); });
   return out;
 }
 
 std::vector<TraceRecord> merge_traces(
     std::vector<std::vector<TraceRecord>> shards) {
-  std::vector<TraceRecord> out;
+  std::vector<MergeKey> keys;
   std::size_t total = 0;
   for (const auto& shard : shards) total += shard.size();
-  out.reserve(total);
-  for (auto& shard : shards) {
-    for (auto& rec : shard) out.push_back(std::move(rec));
+  keys.reserve(total);
+  for (const auto& shard : shards) {
+    for (const auto& rec : shard) add_key(keys, rec);
   }
-  // Stable sort: same-(time, device) records keep their shard-stream
-  // order, and a device's records all come from one shard — so the
-  // result is one canonical interleaving, independent of the shard plan.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     if (a.sim_time_ms != b.sim_time_ms) {
-                       return a.sim_time_ms < b.sim_time_ms;
-                     }
-                     return a.device_id < b.device_id;
-                   });
-  return out;
+  return merge_keys(keys);
+}
+
+std::vector<TraceRecord> merge_traces(
+    std::span<const RingRecorder* const> rings) {
+  std::vector<MergeKey> keys;
+  std::size_t total = 0;
+  for (const RingRecorder* ring : rings) total += ring->size();
+  keys.reserve(total);
+  for (const RingRecorder* ring : rings) {
+    ring->for_each([&keys](const TraceRecord& rec) { add_key(keys, rec); });
+  }
+  return merge_keys(keys);
 }
 
 std::string to_jsonl(const TraceRecord& rec) {
-  std::string out;
-  out.reserve(160);
-  out += "{\"sim_time_ms\":";
-  append_double(out, rec.sim_time_ms);
-  out += ",\"device_id\":";
-  append_u64(out, rec.device_id);
-  out += ",\"kind\":";
-  append_json_string(out, rec.kind);
-  out += ",\"outcome\":";
-  append_json_string(out, rec.outcome);
-  out += ",\"prover_ms\":";
-  append_double(out, rec.prover_ms);
-  out += ",\"verifier_ms\":";
-  append_double(out, rec.verifier_ms);
-  out += ",\"bytes\":";
-  append_u64(out, rec.bytes);
-  out += ",\"energy_mj\":";
-  append_double(out, rec.energy_mj);
-  out += ",\"power_mw\":";
-  append_double(out, rec.power_mw);
-  out += ",\"round_id\":";
-  append_u64(out, rec.round_id);
-  out += ",\"attempt\":";
-  append_u64(out, rec.attempt);
-  out += '}';
+  DoubleTextCache cache;
+  std::string out(jsonl_bound(rec), '\0');
+  out.resize(
+      static_cast<std::size_t>(format_jsonl(out.data(), rec, cache) -
+                               out.data()));
   return out;
 }
 
 void write_jsonl(std::ostream& out, std::span<const TraceRecord> records) {
+  constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  std::vector<char> block;  // allocated at the first record
+  std::size_t used = 0;
+  DoubleTextCache cache;
   for (const auto& rec : records) {
-    out << to_jsonl(rec) << '\n';
+    const std::size_t bound = jsonl_bound(rec);
+    if (block.size() - used < bound) {
+      if (used > 0) out.write(block.data(), static_cast<std::streamsize>(used));
+      used = 0;
+      // Only a label longer than ~10 KB needs more than one block.
+      if (block.size() < bound) block.resize(std::max(kBlockBytes, bound));
+    }
+    char* end = format_jsonl(block.data() + used, rec, cache);
+    *end++ = '\n';
+    used = static_cast<std::size_t>(end - block.data());
   }
+  if (used > 0) out.write(block.data(), static_cast<std::streamsize>(used));
 }
 
 void write_csv(std::ostream& out, std::span<const TraceRecord> records) {

@@ -50,28 +50,55 @@ class TraceSink {
 };
 
 /// Fixed-capacity ring recorder: the last `capacity` records survive;
-/// older ones are overwritten (dropped() tells how many).
+/// older ones are overwritten (dropped() tells how many). Storage grows in
+/// fixed-size blocks as records arrive, so an idle or lightly used ring
+/// costs memory in proportion to what it holds, and a recorded entry
+/// never moves until the ring wraps onto its slot.
 class RingRecorder : public TraceSink {
  public:
   explicit RingRecorder(std::size_t capacity = 4096);
 
   void record(const TraceRecord& rec) override;
 
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  /// Live (surviving) records.
+  std::size_t size() const { return size_; }
   std::uint64_t total_recorded() const { return total_; }
   std::uint64_t dropped() const;
   std::uint64_t dropped_total() const override { return dropped(); }
+
+  /// Record slots backed by storage: size() rounded up to a whole block,
+  /// never more than capacity().
+  std::size_t allocated() const;
 
   /// Optional metrics hook: inc()'d once per evicted record (the
   /// "obs.trace.dropped" counter by convention).
   void set_dropped_counter(Counter* counter) { dropped_counter_ = counter; }
 
+  /// Visit the surviving records in place, oldest first.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    // The oldest record sits at head_: slot 0 until the ring wraps.
+    for (std::size_t i = head_; i < size_; ++i) visit(slot(i));
+    for (std::size_t i = 0; i < head_; ++i) visit(slot(i));
+  }
+
   /// Surviving records, oldest first.
   std::vector<TraceRecord> snapshot() const;
 
  private:
-  std::vector<TraceRecord> ring_;
-  std::size_t head_ = 0;     // next write slot
+  static constexpr std::size_t kBlockShift = 10;  // 1024 records a block
+  static constexpr std::size_t kBlockRecords = std::size_t{1} << kBlockShift;
+
+  const TraceRecord& slot(std::size_t i) const {
+    return blocks_[i >> kBlockShift][i & (kBlockRecords - 1)];
+  }
+
+  // Each block is reserved once at its full size and filled by
+  // push_back, so growing the ring never relocates recorded entries.
+  std::vector<std::vector<TraceRecord>> blocks_;
+  std::size_t capacity_;
+  std::size_t head_ = 0;     // oldest record / next overwrite once full
   std::size_t size_ = 0;     // live records
   std::uint64_t total_ = 0;  // ever recorded
   Counter* dropped_counter_ = nullptr;
@@ -98,18 +125,24 @@ class TeeSink : public TraceSink {
 };
 
 /// Deterministically merge per-shard trace streams (the sharded Swarm's
-/// per-shard RingRecorder snapshots) into one canonical stream, ordered
-/// by (sim_time_ms, device_id) with ties within one device keeping their
-/// shard-stream order. Each device lives in exactly one shard and each
-/// shard's stream is independent of scheduling, so the merged stream is
-/// byte-identical (once exported) at any thread count — and, as long as
-/// no ring dropped records, at any shard count, including the legacy
-/// single-queue layout.
+/// per-shard rings) into one canonical stream, ordered by
+/// (sim_time_ms, device_id) with ties keeping their stream order: the
+/// order of a stable sort of the concatenated streams. Each device lives
+/// in exactly one shard and each shard's stream is independent of
+/// scheduling, so the merged stream is byte-identical (once exported) at
+/// any thread count — and, as long as no ring dropped records, at any
+/// shard count, including the legacy single-queue layout.
 std::vector<TraceRecord> merge_traces(
     std::vector<std::vector<TraceRecord>> shards);
 
+/// The same merge read straight out of the rings (each oldest first),
+/// copying every surviving record once.
+std::vector<TraceRecord> merge_traces(
+    std::span<const RingRecorder* const> rings);
+
 /// One JSON object per line, keys in schema order. Deterministic: shortest
-/// round-trip doubles, no locale dependence.
+/// round-trip doubles, no locale dependence. Lines are formatted into one
+/// reusable block buffer that reaches the stream in large writes.
 void write_jsonl(std::ostream& out, std::span<const TraceRecord> records);
 
 /// CSV with a header row, same columns as the JSONL keys.

@@ -198,8 +198,8 @@ std::uint64_t AttestationSession::send_attempt(std::uint64_t round,
   // instead of a replayed one.
   const attest::AttestRequest request = verifier_->make_request();
   const std::uint64_t round_id = reliable_round_id(round);
-  pending_.push_back(
-      Pending{request, queue_->now_ms(), round, round_id, attempt});
+  pending_.push_back(Pending{request, queue_->now_ms(), round, round_id,
+                             attempt, false, {}});
   ++stats_.requests_sent;
   if (attempt > 1) {
     ++stats_.retransmits;
@@ -241,11 +241,10 @@ void AttestationSession::send_request() {
   if (incremental_) {
     const attest::IncAttestRequest request =
         verifier_->make_incremental_request();
-    Pending p{attest::AttestRequest{}, queue_->now_ms()};
-    p.round_id = obs::prof::make_round_id(obs_.device_id, round_seq_++);
-    p.inc = true;
-    p.inc_request = request;
-    pending_.push_back(std::move(p));
+    pending_.push_back(Pending{
+        attest::AttestRequest{}, queue_->now_ms(), 0,
+        obs::prof::make_round_id(obs_.device_id, round_seq_++), 1, true,
+        request});
     ++stats_.requests_sent;
     if (obs_pending_ != nullptr) {
       obs_pending_->set(static_cast<double>(pending_.size()));
@@ -254,9 +253,9 @@ void AttestationSession::send_request() {
     return;
   }
   const attest::AttestRequest request = verifier_->make_request();
-  Pending p{request, queue_->now_ms()};
-  p.round_id = obs::prof::make_round_id(obs_.device_id, round_seq_++);
-  pending_.push_back(std::move(p));
+  pending_.push_back(Pending{
+      request, queue_->now_ms(), 0,
+      obs::prof::make_round_id(obs_.device_id, round_seq_++), 1, false, {}});
   ++stats_.requests_sent;
   if (obs_pending_ != nullptr) {
     obs_pending_->set(static_cast<double>(pending_.size()));

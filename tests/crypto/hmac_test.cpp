@@ -1,6 +1,7 @@
 // HMAC-SHA1 vectors from RFC 2202 and HMAC-SHA256 vectors from RFC 4231.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "ratt/crypto/bytes.hpp"
@@ -27,6 +28,10 @@ struct HmacVector {
   Bytes data;
   std::string expected;
 };
+
+// Without this, gtest prints the raw object bytes (heap pointers included)
+// into the test name, so the name differs from one process to the next.
+void PrintTo(const HmacVector& v, std::ostream* os) { *os << v.name; }
 
 class HmacSha1Rfc2202 : public ::testing::TestWithParam<HmacVector> {};
 
