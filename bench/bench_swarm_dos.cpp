@@ -231,7 +231,7 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
     }
     swarm.run_all();
 
-    // Phase II: per-shard trace rings + shared atomic registry, 20
+    // Phase II: per-shard trace rings + shard-local registries, 20
     // replays per device, drained on the requested number of worker
     // threads.
     swarm.attach_sharded_observer(&registry);

@@ -1,6 +1,7 @@
 #include "ratt/obs/metrics.hpp"
 
 #include <charconv>
+#include <stdexcept>
 
 namespace ratt::obs {
 
@@ -17,6 +18,45 @@ void append_double(std::string& out, double v) {
 
 std::vector<double> default_latency_bounds_ms() {
   return {0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0};
+}
+
+void Histogram::absorb(Histogram& other) {
+  if (other.bounds_ != bounds_) {
+    throw std::invalid_argument(
+        "Histogram::absorb: bucket bounds differ");
+  }
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i].fetch_add(
+        other.buckets_[i].exchange(0, std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
+  count_.fetch_add(other.count_.exchange(0, std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+  sum_.fetch_add(other.sum_.exchange(0.0, std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+  detail::atomic_min(
+      min_, other.min_.exchange(std::numeric_limits<double>::infinity(),
+                                std::memory_order_relaxed));
+  detail::atomic_max(
+      max_, other.max_.exchange(-std::numeric_limits<double>::infinity(),
+                                std::memory_order_relaxed));
+}
+
+void Registry::absorb(Registry& shard) {
+  const std::scoped_lock lock(mutex_, shard.mutex_);
+  for (auto& [name, c] : shard.counters_) {
+    counters_.try_emplace(name).first->second.absorb(c);
+  }
+  for (auto& [name, g] : shard.gauges_) {
+    gauges_.try_emplace(name).first->second.absorb(g);
+  }
+  for (auto& [name, h] : shard.histograms_) {
+    auto it = histograms_.find(name);
+    if (it == histograms_.end()) {
+      it = histograms_.emplace(name, Histogram(h.bounds())).first;
+    }
+    it->second.absorb(h);
+  }
 }
 
 const Counter* Registry::find_counter(std::string_view name) const {

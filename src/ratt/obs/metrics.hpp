@@ -8,7 +8,8 @@
 //     inc()/set()/observe() touch plain members only,
 //   * no global state — a Registry is an injected instance, so two swarms
 //     (or two test cases) never share instruments,
-//   * header-mostly — only the export/snapshot helpers live in a .cpp.
+//   * header-mostly — only the export, snapshot and fold helpers live in
+//     a .cpp.
 //
 // Concurrency contract (the sharded Swarm relies on this): registration
 // (Registry::counter/gauge/histogram, get-or-create) is serialized by a
@@ -16,12 +17,15 @@
 // fleet attaches a device's instruments on whichever worker thread first
 // touches the device. It stays a cold path: callers cache the returned
 // reference and never take the lock again. The instruments themselves
-// ARE thread-safe: inc()/set()/observe() use relaxed atomics, so shards
-// sharing one Registry never race. All
-// aggregate readouts (counter sums, gauge high-water marks, histogram
-// bucket counts) are order-independent, so they are deterministic for a
-// given workload at any thread count; only the last-write value() of a
-// concurrently-set gauge depends on scheduling.
+// ARE thread-safe: inc()/set()/observe() use relaxed atomics, so threads
+// sharing one Registry never lose an update. Counts, bucket counts,
+// min/max and gauge high-water marks are then exact at any interleaving;
+// floating-point sums are not (addition does not re-associate), and a
+// shared gauge's value() is whichever write landed last. The sharded
+// Swarm therefore gives every shard a private Registry and folds the
+// shards into the attached one in shard order (Registry::absorb) after
+// its workers join, which makes the whole export — sums included —
+// byte-identical at any thread count.
 //
 // Naming convention (docs/OBSERVABILITY.md): dot-separated lowercase
 // "<layer>.<subject>[.<detail>]", e.g. "prover.outcome.not-fresh",
@@ -76,6 +80,16 @@ class Counter {
     return count_.load(std::memory_order_relaxed);
   }
 
+  /// Add `other`'s value and count to this counter and zero `other` in
+  /// place (the shard-registry fold; `other` must have no concurrent
+  /// writer).
+  void absorb(Counter& other) {
+    value_.fetch_add(other.value_.exchange(0.0, std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    count_.fetch_add(other.count_.exchange(0, std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  }
+
  private:
   std::atomic<double> value_{0.0};
   std::atomic<std::uint64_t> count_{0};
@@ -103,6 +117,23 @@ class Gauge {
   }
   std::uint64_t sets() const {
     return sets_.load(std::memory_order_relaxed);
+  }
+
+  /// Fold `other` into this gauge and reset `other` in place: the set
+  /// counts add, the high-water mark is the max of both, and the value
+  /// becomes `other`'s last write if `other` was set at all — so folding
+  /// shards in order leaves the last setter's value, as a serial run
+  /// would. `other` must have no concurrent writer.
+  void absorb(Gauge& other) {
+    const std::uint64_t sets =
+        other.sets_.exchange(0, std::memory_order_relaxed);
+    const double value = other.value_.exchange(0.0, std::memory_order_relaxed);
+    const double max = other.max_.exchange(
+        -std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
+    if (sets == 0) return;
+    value_.store(value, std::memory_order_relaxed);
+    sets_.fetch_add(sets, std::memory_order_relaxed);
+    detail::atomic_max(max_, max);
   }
 
  private:
@@ -170,6 +201,13 @@ class Histogram {
     return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
   }
   const std::vector<double>& bounds() const { return bounds_; }
+
+  /// Add `other`'s buckets, count and sum to this histogram, widen
+  /// min/max to cover it, and reset `other` in place. Both must share
+  /// the same bounds (throws std::invalid_argument otherwise); `other`
+  /// must have no concurrent writer.
+  void absorb(Histogram& other);
+
   /// Snapshot of the bucket counts (a copy: the live array is atomic).
   std::vector<std::uint64_t> buckets() const {
     std::vector<std::uint64_t> out(buckets_.size());
@@ -247,6 +285,15 @@ class Registry {
   const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
+
+  /// Fold every instrument of `shard` into this registry — registering
+  /// it here first if needed — and reset `shard`'s instruments in place
+  /// (components keep pointers to them, so they are never replaced).
+  /// Counters add; gauges keep `shard`'s last value if it was set;
+  /// histograms merge (see the per-instrument absorb()). Call only while
+  /// nothing writes to `shard`; folding shards in a fixed order gives
+  /// byte-identical sums however the shards were scheduled.
+  void absorb(Registry& shard);
 
   /// Human-readable dump, one instrument per line, name-sorted (stable —
   /// suitable for golden comparisons in tests).

@@ -1,7 +1,9 @@
 #include "ratt/obs/prof/profile.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <stdexcept>
 
 namespace ratt::obs::prof {
 
@@ -50,12 +52,48 @@ Phase phase_from_string(std::string_view name) {
   return static_cast<Phase>(kPhaseCount);
 }
 
-void ShardProfile::record(const PhaseSample& sample) {
-  if (last_slot_ == nullptr || last_device_ != sample.device_id) {
-    last_device_ = sample.device_id;
-    last_slot_ = &devices_[sample.device_id];
+std::size_t ShardProfile::DeviceView::size() const {
+  std::size_t n = 0;
+  for (auto it = begin(); it != end(); ++it) ++n;
+  return n;
+}
+
+const DevicePhases& ShardProfile::DeviceView::at(
+    std::uint64_t device_id) const {
+  // Unsigned wrap sends ids below base_ past the end too.
+  const std::uint64_t offset = device_id - base_;
+  if (offset >= rows_->size() || !recorded((*rows_)[offset])) {
+    throw std::out_of_range("ShardProfile: device not recorded");
   }
-  PhaseCost& cell = (*last_slot_)[static_cast<std::size_t>(sample.phase)];
+  return (*rows_)[offset];
+}
+
+void ShardProfile::cover(std::uint64_t device_id) {
+  if (rows_.empty()) {
+    base_ = device_id;
+    rows_.resize(1);
+    return;
+  }
+  if (device_id >= base_) {
+    // vector growth is geometric, so ascending ids stay amortized O(1).
+    rows_.resize(device_id - base_ + 1);
+    return;
+  }
+  // Prepend down to the new lowest id plus an eighth of the current span
+  // of headroom (clamped at id 0), so even strictly descending ids cost
+  // amortized O(1) row moves while a gap wastes at most ~12% of the span.
+  const std::uint64_t headroom =
+      std::min<std::uint64_t>(device_id, rows_.size() / 8);
+  const std::uint64_t new_base = device_id - headroom;
+  rows_.insert(rows_.begin(), static_cast<std::size_t>(base_ - new_base),
+               DevicePhases{});
+  base_ = new_base;
+}
+
+void ShardProfile::record(const PhaseSample& sample) {
+  if (sample.device_id - base_ >= rows_.size()) cover(sample.device_id);
+  PhaseCost& cell = rows_[static_cast<std::size_t>(sample.device_id - base_)]
+                         [static_cast<std::size_t>(sample.phase)];
   cell.cycles += sample.cycles;
   cell.energy_mj += sample.energy_mj;
   cell.bus_bytes += sample.bus_bytes;
@@ -71,7 +109,10 @@ ProfileTable ProfileTable::merge(
   for (const ShardProfile* shard : shards) {
     if (shard == nullptr) continue;
     for (const auto& [device, phases] : shard->devices()) {
-      DevicePhases& dst = table.devices_[device];
+      // Rows arrive in ascending id order, so for the usual disjoint
+      // shard ranges the end hint makes each insert O(1).
+      DevicePhases& dst =
+          table.devices_.try_emplace(table.devices_.end(), device)->second;
       for (std::size_t p = 0; p < kPhaseCount; ++p) {
         dst[p].add(phases[p]);
       }

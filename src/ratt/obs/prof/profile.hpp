@@ -39,6 +39,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ratt::obs::prof {
@@ -126,14 +127,63 @@ class PhaseHook {
 
 /// Shard-local accumulator: one per shard (like the per-shard trace
 /// rings), so worker threads never share one. record() is the only hot
-/// call; a one-slot device cache keeps the steady state off the map.
+/// call. Device ids are fleet indices and a shard owns a contiguous
+/// range of them, so the rows are one flat vector indexed by the id's
+/// offset from the lowest id recorded: a record is a subtraction and a
+/// bounds check, not a tree walk. A row no sample ever touched (a gap in
+/// the span) reads as all-zero and is not part of devices().
 class ShardProfile {
  public:
+  /// Ascending-id view of the recorded rows: iterates
+  /// (device_id, const DevicePhases&) pairs, skipping never-recorded ids.
+  class DeviceView {
+   public:
+    using value_type = std::pair<std::uint64_t, const DevicePhases&>;
+
+    class iterator {
+     public:
+      value_type operator*() const { return {base_ + i_, (*rows_)[i_]}; }
+      iterator& operator++() {
+        ++i_;
+        skip_empty();
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+     private:
+      friend class DeviceView;
+      iterator(const std::vector<DevicePhases>* rows, std::uint64_t base,
+               std::size_t i)
+          : rows_(rows), base_(base), i_(i) {
+        skip_empty();
+      }
+      void skip_empty() {
+        while (i_ < rows_->size() && !recorded((*rows_)[i_])) ++i_;
+      }
+      const std::vector<DevicePhases>* rows_;
+      std::uint64_t base_;
+      std::size_t i_;
+    };
+
+    iterator begin() const { return {rows_, base_, 0}; }
+    iterator end() const { return {rows_, base_, rows_->size()}; }
+    /// Number of recorded devices (a scan — for tests and reports).
+    std::size_t size() const;
+    /// Row of a recorded device; throws std::out_of_range otherwise.
+    const DevicePhases& at(std::uint64_t device_id) const;
+
+   private:
+    friend class ShardProfile;
+    DeviceView(const std::vector<DevicePhases>* rows, std::uint64_t base)
+        : rows_(rows), base_(base) {}
+    const std::vector<DevicePhases>* rows_;
+    std::uint64_t base_;
+  };
+
   void record(const PhaseSample& sample);
 
-  const std::map<std::uint64_t, DevicePhases>& devices() const {
-    return devices_;
-  }
+  /// Valid until the next record() (which may grow the rows).
+  DeviceView devices() const { return {&rows_, base_}; }
   std::uint64_t samples_total() const { return samples_; }
 
   /// Forward every recorded sample (after accumulation) to `hook`.
@@ -143,9 +193,20 @@ class ShardProfile {
   PhaseHook* hook() const { return hook_; }
 
  private:
-  std::map<std::uint64_t, DevicePhases> devices_;
-  std::uint64_t last_device_ = 0;
-  DevicePhases* last_slot_ = nullptr;
+  /// Every record() bumps one cell's count, so a row is recorded iff
+  /// any count is nonzero.
+  static bool recorded(const DevicePhases& row) {
+    for (const PhaseCost& cell : row) {
+      if (cell.count != 0) return true;
+    }
+    return false;
+  }
+  /// Grow the rows so they cover `device_id` (cold: at most once per new
+  /// lowest/highest id).
+  void cover(std::uint64_t device_id);
+
+  std::uint64_t base_ = 0;  // device id of rows_[0]
+  std::vector<DevicePhases> rows_;
   std::uint64_t samples_ = 0;
   PhaseHook* hook_ = nullptr;
 };

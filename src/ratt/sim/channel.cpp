@@ -28,18 +28,24 @@ void Channel::dispatch(const Sink& sink, Bytes payload,
 }
 
 void Channel::verifier_send(Bytes payload) {
-  TappedMessage msg{payload, queue_->now_ms(), next_id_++};
+  // Ids advance on every send, tapped or not, so a tap attached later
+  // sees the same ids; the message copy is made only for a tap.
+  const std::uint64_t id = next_id_++;
   ChannelTap::Disposition d;
-  if (tap_ != nullptr) d = tap_->on_to_prover(msg);
+  if (tap_ != nullptr) {
+    d = tap_->on_to_prover(TappedMessage{payload, queue_->now_ms(), id});
+  }
   if (!d.deliver) return;
   dispatch(prover_sink_, std::move(payload), std::move(d),
            to_prover_count_);
 }
 
 void Channel::prover_send(Bytes payload) {
-  TappedMessage msg{payload, queue_->now_ms(), next_id_++};
+  const std::uint64_t id = next_id_++;
   ChannelTap::Disposition d;
-  if (tap_ != nullptr) d = tap_->on_to_verifier(msg);
+  if (tap_ != nullptr) {
+    d = tap_->on_to_verifier(TappedMessage{payload, queue_->now_ms(), id});
+  }
   if (!d.deliver) return;
   dispatch(verifier_sink_, std::move(payload), std::move(d),
            to_verifier_count_);

@@ -199,20 +199,24 @@ EventQueue& Swarm::queue() {
 void Swarm::apply_observer(Device& device) {
   if (obs_mode_ == ObsMode::kNone) return;
   obs::Observer o;
-  o.registry = attached_registry_;
   o.device_id = device.index;
   o.power = attached_power_;
   Shard& shard = *shards_[device.shard];
+  obs::Registry* shard_registry =
+      attached_registry_ != nullptr ? &shard.metrics : nullptr;
   switch (obs_mode_) {
     case ObsMode::kPlain:
+      o.registry = attached_registry_;
       o.sink = attached_sink_;
       o.profile = attached_profile_;
       break;
     case ObsMode::kSharded:
+      o.registry = shard_registry;
       o.sink = shard.ring.get();
       o.profile = shard.profile.get();
       break;
     case ObsMode::kPower:
+      o.registry = shard_registry;
       o.sink = shard.power_tee.get();
       o.profile = shard.profile.get();
       break;
@@ -222,9 +226,9 @@ void Swarm::apply_observer(Device& device) {
   device.prover->set_observer(o);
   device.verifier->set_observer(o);
   device.session->set_observer(o);
-  // The shard's batch engine shares the fleet registry; its counters
-  // register lazily on the first batched wave, so scalar runs keep the
-  // registry export byte-identical.
+  // The shard's batch engine counts into the device's registry; its
+  // counters register lazily on the first batched wave, so scalar runs
+  // keep the registry export byte-identical.
   if (config_.mac_batch) shard.batch.set_observer(o);
 }
 
@@ -237,6 +241,8 @@ void Swarm::apply_observer_to_materialized() {
 void Swarm::attach_observer(obs::Registry* registry, obs::TraceSink* sink,
                             obs::PowerModel power,
                             obs::prof::ShardProfile* profile) {
+  // Counts still held by shard registries belong to the old plan.
+  fold_shard_metrics();
   for (auto& shard : shards_) shard->queue.set_observer(registry);
   obs_mode_ = ObsMode::kPlain;
   attached_registry_ = registry;
@@ -249,17 +255,19 @@ void Swarm::attach_observer(obs::Registry* registry, obs::TraceSink* sink,
 void Swarm::attach_sharded_observer(obs::Registry* registry,
                                     std::size_t ring_capacity,
                                     obs::PowerModel power) {
+  fold_shard_metrics();
   attached_registry_ = registry;
   attached_power_ = power;
   for (auto& shard : shards_) {
+    obs::Registry* metrics = registry != nullptr ? &shard->metrics : nullptr;
     shard->ring = std::make_unique<obs::RingRecorder>(ring_capacity);
-    if (registry != nullptr) {
-      // One shared eviction counter: Counter::inc is thread-safe, and the
-      // tally lets exports state whether the merged trace is complete.
-      shard->ring->set_dropped_counter(&registry->counter("obs.trace.dropped"));
+    if (metrics != nullptr) {
+      // The eviction tally lets exports state whether the merged trace
+      // is complete.
+      shard->ring->set_dropped_counter(&metrics->counter("obs.trace.dropped"));
     }
     shard->profile = std::make_unique<obs::prof::ShardProfile>();
-    shard->queue.set_observer(registry);
+    shard->queue.set_observer(metrics);
   }
   obs_mode_ = ObsMode::kSharded;
   apply_observer_to_materialized();
@@ -363,6 +371,7 @@ void Swarm::schedule(double horizon_ms) {
 
 void Swarm::run_until(double until_ms) {
   for (auto& shard : shards_) shard->queue.run_until(until_ms);
+  fold_shard_metrics();
 }
 
 std::size_t Swarm::run_all() { return drain(1); }
@@ -402,12 +411,15 @@ std::size_t Swarm::drain(std::size_t threads) {
     for (auto& shard : shards_) {
       leftover += shard->queue.run_all(shard_budget(*shard));
     }
+    fold_shard_metrics();
     return leftover;
   }
   // Shards are fully independent event streams; hand them out to the
-  // workers by atomic ticket. All cross-thread state is the ticket, the
-  // leftover tally and the registry's thread-safe instruments (lazy
-  // materialization only ever happens on a device's owning shard worker).
+  // workers by atomic ticket. All cross-thread state is the ticket and
+  // the leftover tally (every shard counts into its own registry, and
+  // lazy materialization only ever happens on a device's owning shard
+  // worker); a plain attach_observer registry is shared, but its
+  // instruments are thread-safe.
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> leftover{0};
   const auto worker = [this, &next, &leftover] {
@@ -423,7 +435,16 @@ std::size_t Swarm::drain(std::size_t threads) {
   for (std::size_t t = 0; t + 1 < workers; ++t) pool.emplace_back(worker);
   worker();
   for (auto& t : pool) t.join();
+  fold_shard_metrics();
   return leftover.load(std::memory_order_relaxed);
+}
+
+void Swarm::fold_shard_metrics() {
+  if (attached_registry_ == nullptr ||
+      (obs_mode_ != ObsMode::kSharded && obs_mode_ != ObsMode::kPower)) {
+    return;
+  }
+  for (auto& shard : shards_) attached_registry_->absorb(shard->metrics);
 }
 
 SwarmReport Swarm::report(double horizon_ms) const {

@@ -15,8 +15,10 @@
 // of reports and traces is deterministic — byte-identical for the same
 // seed at ANY thread count, because per-shard behavior never depends on
 // scheduling and the merge orders records by (sim_time, device_id)
-// canonically. Metrics aggregate into one shared Registry whose
-// instruments are thread-safe (obs/metrics.hpp).
+// canonically. Under attach_sharded_observer every shard also counts into
+// its own private metrics Registry; every run call folds the shard registries
+// into the attached one, in shard order, once its workers have joined, so
+// the registry export is byte-identical at any thread count too.
 //
 // Million-device scale rests on three mechanisms:
 //   * Lazy periodic scheduling (default): schedule() arms ONE
@@ -193,13 +195,16 @@ class Swarm {
                        obs::PowerModel power = obs::PowerModel{},
                        obs::prof::ShardProfile* profile = nullptr);
 
-  /// Sharded tracing + profiling for parallel runs: every shard records
-  /// into its own private RingRecorder (`ring_capacity` records each) and
-  /// its own prof::ShardProfile, so worker threads never share a sink or
-  /// accumulator; the shared registry only needs its thread-safe
-  /// instruments. Ring evictions feed the "obs.trace.dropped" counter.
-  /// After a run, merged_trace() / merged_profile() return deterministic
-  /// canonical merges of all shards.
+  /// Sharded observability for parallel runs: every shard records into
+  /// its own private RingRecorder (`ring_capacity` records each), its own
+  /// prof::ShardProfile and its own metrics Registry, so worker threads
+  /// never share a sink, an accumulator or an instrument. Ring evictions
+  /// feed the "obs.trace.dropped" counter. run()/run_parallel(),
+  /// run_all() and run_until() fold the shard registries into `registry`
+  /// in shard order when they return (Registry::absorb); metrics counted
+  /// outside a run call (e.g. a send_request() during setup) land with the
+  /// next run call's fold. After a run, merged_trace() / merged_profile()
+  /// return deterministic canonical merges of all shards.
   void attach_sharded_observer(obs::Registry* registry,
                                std::size_t ring_capacity = 1 << 16,
                                obs::PowerModel power = obs::PowerModel{});
@@ -308,6 +313,10 @@ class Swarm {
   };
   struct Shard {
     explicit Shard(bool soa) : components(soa) {}
+    // Shard-local instruments (attach_sharded_observer with a registry):
+    // everything below caches pointers into it, so it is declared first
+    // and outlives them. fold_shard_metrics() drains it after every run.
+    obs::Registry metrics;
     EventQueue queue;
     std::size_t begin = 0;  // device index range [begin, end)
     std::size_t end = 0;
@@ -355,6 +364,10 @@ class Swarm {
   /// Drain every shard queue on up to `threads` workers; returns the
   /// total stranded backlog.
   std::size_t drain(std::size_t threads);
+  /// Fold every shard registry into the attached one, in shard order
+  /// (no-op unless the sharded observer has a registry). Only called
+  /// when no worker is running.
+  void fold_shard_metrics();
 
   SwarmConfig config_;
   bool net_mode_ = false;

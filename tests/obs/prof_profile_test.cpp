@@ -3,8 +3,14 @@
 // phase partition (per-round phases sum exactly to cycles(device_ms)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "ratt/attest/prover.hpp"
 #include "ratt/attest/verifier.hpp"
@@ -63,6 +69,192 @@ TEST(ShardProfile, AccumulatesPerDevicePerPhase) {
   EXPECT_EQ(mem.count, 2u);
   EXPECT_EQ(cells.at(2)[static_cast<std::size_t>(Phase::kReqAuth)].cycles,
             7u);
+}
+
+// --- Flat row storage vs a std::map reference --------------------------
+//
+// ShardProfile keeps one flat row per device id in the span it recorded;
+// the reference below is the obvious map-per-device accumulator. Every
+// recording order must give the same ascending-id view and JSONL.
+
+using Reference = std::map<std::uint64_t, DevicePhases>;
+
+void record_both(ShardProfile& profile, Reference& ref,
+                 const PhaseSample& s) {
+  profile.record(s);
+  PhaseCost& cell = ref[s.device_id][static_cast<std::size_t>(s.phase)];
+  cell.cycles += s.cycles;
+  cell.energy_mj += s.energy_mj;
+  cell.bus_bytes += s.bus_bytes;
+  cell.mac_bytes += s.mac_bytes;
+  ++cell.count;
+}
+
+void expect_matches(const ShardProfile& profile, const Reference& ref) {
+  std::vector<std::uint64_t> ids;
+  auto want = ref.begin();
+  for (const auto& [device, phases] : profile.devices()) {
+    ids.push_back(device);
+    ASSERT_NE(want, ref.end()) << "extra device " << device;
+    EXPECT_EQ(device, want->first);
+    EXPECT_EQ(phases, want->second) << "device " << device;
+    EXPECT_EQ(profile.devices().at(device), want->second);
+    ++want;
+  }
+  EXPECT_EQ(want, ref.end()) << "missing devices";
+  EXPECT_EQ(profile.devices().size(), ref.size());
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+}
+
+/// The documented JSONL schema, written straight from the reference map.
+std::string reference_jsonl(const Reference& ref) {
+  std::string out;
+  const auto num = [&out](auto v) {
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  for (const auto& [device, phases] : ref) {
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      const PhaseCost& c = phases[p];
+      if (c.count == 0) continue;
+      out += "{\"device_id\":";
+      num(device);
+      out += ",\"phase\":\"";
+      out += to_string(static_cast<Phase>(p));
+      out += "\",\"count\":";
+      num(c.count);
+      out += ",\"cycles\":";
+      num(c.cycles);
+      out += ",\"energy_mj\":";
+      num(c.energy_mj);
+      out += ",\"bus_bytes\":";
+      num(c.bus_bytes);
+      out += ",\"mac_bytes\":";
+      num(c.mac_bytes);
+      out += "}\n";
+    }
+  }
+  return out;
+}
+
+std::string table_jsonl(std::span<const ShardProfile* const> shards) {
+  std::ostringstream out;
+  ProfileTable::merge(shards).write_jsonl(out);
+  return out.str();
+}
+
+PhaseSample varied(std::uint64_t dev, std::uint64_t k) {
+  PhaseSample s = sample(static_cast<Phase>(k % kPhaseCount), dev,
+                         100 + 7 * k, 0.001 * static_cast<double>(k + 1));
+  s.bus_bytes = k * 3;
+  s.mac_bytes = k * 5;
+  return s;
+}
+
+TEST(ShardProfileFlat, DecreasingIdsMatchReference) {
+  ShardProfile profile;
+  Reference ref;
+  std::uint64_t k = 0;
+  for (std::uint64_t dev = 300; dev-- > 200;) {
+    record_both(profile, ref, varied(dev, k++));
+    record_both(profile, ref, varied(dev, k++));
+  }
+  expect_matches(profile, ref);
+  const ShardProfile* shards[] = {&profile};
+  EXPECT_EQ(table_jsonl(shards), reference_jsonl(ref));
+}
+
+TEST(ShardProfileFlat, InterleavedIdsWithGapsMatchReference) {
+  // Scattered first touches, repeats and never-recorded ids in between.
+  ShardProfile profile;
+  Reference ref;
+  const std::uint64_t order[] = {517, 40, 900, 41, 517, 3, 899, 40, 64,
+                                 901, 2, 517, 1000, 1};
+  std::uint64_t k = 0;
+  for (const std::uint64_t dev : order) {
+    record_both(profile, ref, varied(dev, k++));
+  }
+  expect_matches(profile, ref);
+  EXPECT_THROW((void)profile.devices().at(42), std::out_of_range);
+  EXPECT_THROW((void)profile.devices().at(0), std::out_of_range);
+  EXPECT_THROW((void)profile.devices().at(5000), std::out_of_range);
+  const ShardProfile* shards[] = {&profile};
+  EXPECT_EQ(table_jsonl(shards), reference_jsonl(ref));
+}
+
+TEST(ShardProfileFlat, DeviceZeroAndEmptyProfile) {
+  ShardProfile profile;
+  EXPECT_EQ(profile.devices().size(), 0u);
+  EXPECT_EQ(profile.devices().begin(), profile.devices().end());
+  Reference ref;
+  record_both(profile, ref, varied(5, 0));
+  record_both(profile, ref, varied(0, 1));  // below the first id
+  record_both(profile, ref, varied(0, 2));
+  expect_matches(profile, ref);
+  EXPECT_EQ((*profile.devices().begin()).first, 0u);
+}
+
+TEST(ShardProfileFlat, ProfileSharedAcrossShardsMatchesReference) {
+  // The attach_observer layout: one profile sees every shard's devices,
+  // in whatever order the serial drain interleaves them. Here four
+  // 64-device shards take turns, the last shard first.
+  ShardProfile shared;
+  Reference ref;
+  std::uint64_t k = 0;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      for (std::uint64_t shard = 4; shard-- > 0;) {
+        const std::uint64_t dev = shard * 64 + (i * 37) % 64;
+        record_both(shared, ref, varied(dev, k++));
+      }
+    }
+  }
+  expect_matches(shared, ref);
+  EXPECT_EQ(shared.samples_total(), k);
+  const ShardProfile* shards[] = {&shared};
+  EXPECT_EQ(table_jsonl(shards), reference_jsonl(ref));
+}
+
+TEST(ShardProfileFlat, MergeOfShardsEqualsOneProfile) {
+  // Per-shard profiles over contiguous ranges merge to the same JSONL as
+  // one profile fed every sample, in either merge order.
+  ShardProfile low;
+  ShardProfile high;
+  ShardProfile all;
+  Reference ref;
+  std::uint64_t k = 0;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::uint64_t dev = (i * 53) % 128;
+    const PhaseSample s = varied(dev, k++);
+    (dev < 64 ? low : high).record(s);
+    record_both(all, ref, s);
+  }
+  const ShardProfile* split[] = {&low, &high};
+  const ShardProfile* reversed[] = {&high, &low};
+  const ShardProfile* whole[] = {&all};
+  EXPECT_EQ(table_jsonl(split), reference_jsonl(ref));
+  EXPECT_EQ(table_jsonl(reversed), reference_jsonl(ref));
+  EXPECT_EQ(table_jsonl(whole), reference_jsonl(ref));
+}
+
+TEST(ShardProfileFlat, HookSeesEverySampleInOrder) {
+  struct Tap : PhaseHook {
+    std::vector<std::tuple<std::uint64_t, Phase, std::uint64_t>> seen;
+    void on_phase(const PhaseSample& s) override {
+      seen.emplace_back(s.device_id, s.phase, s.cycles);
+    }
+  } tap;
+  ShardProfile profile;
+  profile.set_hook(&tap);
+  std::vector<std::tuple<std::uint64_t, Phase, std::uint64_t>> sent;
+  std::uint64_t k = 0;
+  for (const std::uint64_t dev : {9, 3, 9, 0, 12, 3}) {
+    const PhaseSample s = varied(dev, k++);
+    profile.record(s);
+    sent.emplace_back(s.device_id, s.phase, s.cycles);
+  }
+  EXPECT_EQ(tap.seen, sent);
+  EXPECT_EQ(profile.samples_total(), sent.size());
 }
 
 TEST(ProfileTable, MergeIsCollationInDeviceOrder) {

@@ -4,6 +4,7 @@
 // single-queue serial run for the same seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -163,6 +164,143 @@ TEST(SwarmShard, MergedTraceFeedsFleetHealth) {
     if (i == 2) continue;
     EXPECT_LT(verdicts1[i].alerts, verdicts1[2].alerts) << "device " << i;
   }
+}
+
+// --- Shard-local registries ------------------------------------------------
+//
+// Under attach_sharded_observer every shard counts into a private Registry
+// that every run call folds into the attached one, in shard order, after the
+// workers join.
+
+SwarmConfig lossy_fleet() {
+  SwarmConfig config = fleet(256, 16);
+  config.link = net::lossy10_link();
+  config.reliable = true;
+  config.share_app_image = true;  // one secure boot, not 256
+  return config;
+}
+
+std::string sharded_registry_text(std::size_t threads) {
+  Swarm swarm(lossy_fleet(), crypto::from_string("registry-seed"));
+  obs::Registry registry;
+  swarm.attach_sharded_observer(&registry);
+  (void)swarm.run_parallel(2000.0, threads);
+  return registry.to_text();
+}
+
+TEST(SwarmShardRegistry, TextIdenticalAtAnyThreadCount) {
+  // Float sums (prover.busy_ms, energy, latency histogram sums) are added
+  // shard by shard in a fixed order, so not even their last digits may
+  // follow the thread interleaving.
+  const std::string one = sharded_registry_text(1);
+  EXPECT_NE(one.find("counter prover.busy_ms"), std::string::npos);
+  EXPECT_NE(one.find("counter net.retransmits"), std::string::npos);
+  EXPECT_EQ(sharded_registry_text(2), one);
+  EXPECT_EQ(sharded_registry_text(8), one);
+}
+
+/// Exact equality of everything but floating-point sums, which may differ
+/// in their last digits when additions associate differently; those must
+/// agree to a relative 1e-12.
+void expect_same_tallies(const obs::Registry& got,
+                         const obs::Registry& want) {
+  const auto near = [](double a, double b) {
+    return std::fabs(a - b) <= 1e-12 * std::max(std::fabs(a), std::fabs(b));
+  };
+  ASSERT_EQ(got.counters().size(), want.counters().size());
+  for (const auto& [name, c] : want.counters()) {
+    const obs::Counter* g = got.find_counter(name);
+    ASSERT_NE(g, nullptr) << name;
+    EXPECT_EQ(g->count(), c.count()) << name;
+    EXPECT_TRUE(near(g->value(), c.value()))
+        << name << ": " << g->value() << " vs " << c.value();
+  }
+  ASSERT_EQ(got.gauges().size(), want.gauges().size());
+  for (const auto& [name, gauge] : want.gauges()) {
+    const obs::Gauge* g = got.find_gauge(name);
+    ASSERT_NE(g, nullptr) << name;
+    EXPECT_EQ(g->sets(), gauge.sets()) << name;
+    EXPECT_EQ(g->max(), gauge.max()) << name;
+    EXPECT_EQ(g->value(), gauge.value()) << name;
+  }
+  ASSERT_EQ(got.histograms().size(), want.histograms().size());
+  for (const auto& [name, h] : want.histograms()) {
+    const obs::Histogram* g = got.find_histogram(name);
+    ASSERT_NE(g, nullptr) << name;
+    EXPECT_EQ(g->count(), h.count()) << name;
+    EXPECT_EQ(g->buckets(), h.buckets()) << name;
+    EXPECT_EQ(g->min(), h.min()) << name;
+    EXPECT_EQ(g->max(), h.max()) << name;
+    EXPECT_TRUE(near(g->sum(), h.sum()))
+        << name << ": " << g->sum() << " vs " << h.sum();
+  }
+}
+
+TEST(SwarmShardRegistry, FoldMatchesOneSharedRegistry) {
+  // The single shared registry of attach_observer, driven on one thread,
+  // is the reference: the shard fold must reproduce its counts, buckets,
+  // min/max and gauge values (last write = highest shard that set it).
+  Swarm shared(lossy_fleet(), crypto::from_string("registry-seed"));
+  obs::Registry shared_reg;
+  shared.attach_observer(&shared_reg, nullptr);
+  (void)shared.run(2000.0);
+
+  Swarm sharded(lossy_fleet(), crypto::from_string("registry-seed"));
+  obs::Registry sharded_reg;
+  sharded.attach_sharded_observer(&sharded_reg);
+  (void)sharded.run_parallel(2000.0, 4);
+
+  // The ring eviction tally is the only instrument the rings add.
+  const obs::Counter* dropped = sharded_reg.find_counter("obs.trace.dropped");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), 0.0);
+  (void)shared_reg.counter("obs.trace.dropped");
+  expect_same_tallies(sharded_reg, shared_reg);
+}
+
+TEST(SwarmShardRegistry, SlicedRunsDoNotDoubleCount) {
+  // Every run_until slice folds and resets the shard instruments, so a
+  // dashboard-style sliced drain adds up to the straight run.
+  Swarm straight(lossy_fleet(), crypto::from_string("registry-seed"));
+  obs::Registry straight_reg;
+  straight.attach_sharded_observer(&straight_reg);
+  const SwarmReport straight_report = straight.run_parallel(2000.0, 2);
+
+  Swarm sliced(lossy_fleet(), crypto::from_string("registry-seed"));
+  obs::Registry sliced_reg;
+  sliced.attach_sharded_observer(&sliced_reg);
+  sliced.schedule(2000.0);
+  sliced.run_until(700.0);
+  const obs::Counter* valid = sliced_reg.find_counter("session.rounds.valid");
+  ASSERT_NE(valid, nullptr);
+  const double after_first_slice = valid->value();
+  EXPECT_GT(after_first_slice, 0.0);
+  sliced.run_until(1300.0);
+  sliced.run_until(2000.0);
+  EXPECT_EQ(sliced.run_all(), 0u);
+  const SwarmReport sliced_report = sliced.report(2000.0);
+
+  EXPECT_EQ(sliced_report, straight_report);
+  EXPECT_GT(valid->value(), after_first_slice);
+  EXPECT_EQ(valid->value(),
+            static_cast<double>(straight_report.total_valid()));
+  expect_same_tallies(sliced_reg, straight_reg);
+}
+
+TEST(SwarmShardRegistry, UntouchedInstrumentsStayAbsent) {
+  // Instruments register lazily: a clean, scalar-MAC fleet never creates
+  // the retransmitter or batch counters, in a shard or after the fold.
+  SwarmConfig config = fleet(64, 8);
+  config.mac_batch = false;
+  Swarm swarm(config, crypto::from_string("registry-seed"));
+  obs::Registry registry;
+  swarm.attach_sharded_observer(&registry);
+  (void)swarm.run_parallel(600.0, 4);
+  EXPECT_NE(registry.find_counter("prover.busy_ms"), nullptr);
+  EXPECT_EQ(registry.find_counter("net.retransmits"), nullptr);
+  EXPECT_EQ(registry.find_counter("verifier.batch.fills"), nullptr);
+  EXPECT_EQ(registry.find_counter("prover.inc.requests"), nullptr);
+  EXPECT_EQ(registry.to_text().find("batch"), std::string::npos);
 }
 
 }  // namespace
