@@ -210,25 +210,59 @@ class UInt {
   std::array<std::uint32_t, W> limbs_{};
 };
 
-/// Remainder of a (2W wide) modulo m (W wide), by binary long division.
-/// Precondition: m != 0. Cost is O(bits) compare/subtract passes; fine for
-/// the few per-signature order-n reductions, while field arithmetic uses
-/// the dedicated pseudo-Mersenne path in fp160.cpp.
+/// a^-1 (mod m) for an odd modulus m, by the binary extended Euclidean
+/// algorithm (HAC Algorithm 14.61, with the Bezout coefficient of m
+/// dropped). It keeps x1·a ≡ u and x2·a ≡ v (mod m) while halving and
+/// subtracting u and v down to gcd(a, m): a few hundred shift/add passes
+/// over W limbs instead of a full modular exponentiation.
+/// Preconditions: m odd, a < m. Throws std::domain_error when a has no
+/// inverse (a == 0 or gcd(a, m) != 1). Variable-time: the pass count
+/// depends on a.
 template <std::size_t W>
-UInt<W> mod_wide(const UInt<2 * W>& a, const UInt<W>& m) {
-  if (m.is_zero()) throw std::invalid_argument("mod_wide: zero modulus");
-  const UInt<2 * W> m_wide = m.template resized<2 * W>();
-  UInt<2 * W> rem;
-  for (int i = a.bit_length(); i-- > 0;) {
-    rem = rem.shifted_left(1);
-    if (a.bit(static_cast<std::size_t>(i))) {
-      rem.set_limb(0, rem.limb(0) | 1);
+constexpr UInt<W> inverse_mod_odd(const UInt<W>& a, const UInt<W>& m) {
+  if (!m.is_odd() || a >= m) {
+    throw std::invalid_argument("inverse_mod_odd: need odd m and a < m");
+  }
+  // x/2 (mod m): x + m is even when x is odd, and x + m < 2m may carry
+  // out of W limbs, so the carry comes back in as the top bit.
+  const auto halve_mod = [&m](UInt<W>& x) {
+    std::uint32_t carry = 0;
+    if (x.is_odd()) carry = UInt<W>::add(x, m, x);
+    x = x.shifted_right(1);
+    x.set_limb(W - 1, x.limb(W - 1) | (carry << 31));
+  };
+  const auto sub_mod = [&m](UInt<W>& x, const UInt<W>& y) {
+    if (UInt<W>::sub(x, y, x) != 0) UInt<W>::add(x, m, x);
+  };
+
+  const UInt<W> one(1);
+  UInt<W> u = a;
+  UInt<W> v = m;
+  UInt<W> x1 = one;
+  UInt<W> x2;
+  while (u != one && v != one) {
+    // u reaches zero only as u - v with u == v == gcd(a, m) > 1, or
+    // when a itself is zero; v is only ever reduced by a smaller u.
+    if (u.is_zero()) {
+      throw std::domain_error("inverse_mod_odd: not invertible");
     }
-    if (rem >= m_wide) {
-      rem = rem - m_wide;
+    while (!u.is_odd()) {
+      u = u.shifted_right(1);
+      halve_mod(x1);
+    }
+    while (!v.is_odd()) {
+      v = v.shifted_right(1);
+      halve_mod(x2);
+    }
+    if (u >= v) {
+      u = u - v;
+      sub_mod(x1, x2);
+    } else {
+      v = v - u;
+      sub_mod(x2, x1);
     }
   }
-  return rem.template resized<W>();
+  return u == one ? x1 : x2;
 }
 
 using U160 = UInt<5>;   // field elements of secp160r1

@@ -1,5 +1,7 @@
 #include "ratt/crypto/ec.hpp"
 
+#include <algorithm>
+
 namespace ratt::crypto {
 
 namespace {
@@ -166,9 +168,11 @@ EcPoint Secp160r1::add(const EcPoint& p, const EcPoint& q) {
 }
 
 EcPoint Secp160r1::scalar_mul(const U192& k, const EcPoint& p) {
-  // Left-to-right double-and-add. Not constant-time: the simulated prover's
-  // timing model prices the operation analytically, and no secret-dependent
-  // timing crosses a trust boundary in this codebase.
+  // Left-to-right double-and-add. Not constant-time, and neither is the
+  // binary-GCD inversion in to_affine (nor the nonce inverse in
+  // ecdsa_sign): the simulated prover's timing model prices these
+  // operations analytically, and no secret-dependent host timing crosses
+  // a trust boundary in this codebase.
   Jacobian result{};
   for (int i = k.bit_length(); i-- > 0;) {
     result = jacobian_double(result);
@@ -181,6 +185,24 @@ EcPoint Secp160r1::scalar_mul(const U192& k, const EcPoint& p) {
 
 EcPoint Secp160r1::scalar_mul_base(const U192& k) {
   return scalar_mul(k, generator());
+}
+
+EcPoint Secp160r1::joint_scalar_mul(const U192& u1, const U192& u2,
+                                    const EcPoint& q) {
+  // Indexed by the bit pair (u2 bit << 1) | u1 bit. G + Q is infinity
+  // when Q = -G, and a doubling when Q = G; add() handles both, and
+  // adding infinity leaves the accumulator unchanged.
+  const EcPoint& g = generator();
+  const EcPoint g_plus_q = add(g, q);
+  const EcPoint* const table[4] = {nullptr, &g, &q, &g_plus_q};
+  Jacobian result{};
+  for (int i = std::max(u1.bit_length(), u2.bit_length()); i-- > 0;) {
+    result = jacobian_double(result);
+    const auto bit = static_cast<std::size_t>(i);
+    const unsigned pair = (u2.bit(bit) ? 2u : 0u) | (u1.bit(bit) ? 1u : 0u);
+    if (pair != 0) result = jacobian_add_affine(result, *table[pair]);
+  }
+  return to_affine(result);
 }
 
 }  // namespace ratt::crypto

@@ -59,6 +59,12 @@ class Secp160r1 {
 
   /// k·G.
   static EcPoint scalar_mul_base(const U192& k);
+
+  /// u1·G + u2·Q in one joint double-and-add chain (Shamir's trick): one
+  /// doubling per bit of the longer scalar, adding G, Q or a precomputed
+  /// G + Q by the bit pair, and a single conversion back to affine.
+  static EcPoint joint_scalar_mul(const U192& u1, const U192& u2,
+                                  const EcPoint& q);
 };
 
 }  // namespace ratt::crypto

@@ -11,10 +11,20 @@ namespace {
 
 const U192& order() { return Secp160r1::order(); }
 
-U192 modn(const U192& a) {
-  // a < 2^192 and n > 2^160, so the quotient is small, but use the generic
-  // reduction for clarity.
-  return mod_wide(a.resized<12>(), order());
+// Barrett reduction (HAC Algorithm 14.42, with bit shifts in place of
+// limb shifts). n has k = 161 bits and mu = floor(2^(2k) / n). For
+// x < 2^(2k) the quotient estimate q = ((x >> (k-1)) * mu) >> (k+1)
+// falls short of floor(x / n) by at most 2, so x - q·n < 3n and at most
+// two subtractions finish the job: two 6x6-limb products in place of a
+// bit-at-a-time long division.
+U192 reduce_barrett(const U384& x) {
+  static const U192 mu =
+      U192::from_hex("03fffffffffffffffffff82cdc1b6144b0d62b76b3");
+  const U192 q1 = x.shifted_right(160).resized<6>();        // < 2^162
+  const U192 q = mul_wide(q1, mu).shifted_right(162).resized<6>();
+  U192 r = (x - mul_wide(q, order())).resized<6>();       // < 3n < 2^163
+  while (r >= order()) r = r - order();
+  return r;
 }
 
 U192 modn_add(const U192& a, const U192& b) {
@@ -27,29 +37,6 @@ U192 modn_add(const U192& a, const U192& b) {
   }
   if (sum >= order()) sum = sum - order();
   return sum;
-}
-
-U192 modn_mul(const U192& a, const U192& b) {
-  return mod_wide(mul_wide(a, b), order());
-}
-
-U192 modn_pow(const U192& base, const U192& e) {
-  U192 result(1);
-  U192 acc = base;
-  const int bits = e.bit_length();
-  for (int i = 0; i < bits; ++i) {
-    if (e.bit(static_cast<std::size_t>(i))) {
-      result = modn_mul(result, acc);
-    }
-    acc = modn_mul(acc, acc);
-  }
-  return result;
-}
-
-// n is prime (secp160r1 has cofactor 1), so Fermat inversion applies.
-U192 modn_inv(const U192& a) {
-  if (a.is_zero()) throw std::domain_error("modn_inv: zero");
-  return modn_pow(a, order() - U192(2));
 }
 
 /// Message digest as an integer modulo n (SHA-1 is 160 bits < 161 = |n|,
@@ -79,6 +66,17 @@ U192 random_scalar(HmacDrbg& drbg) {
 }
 
 }  // namespace
+
+U192 modn(const U192& a) { return reduce_barrett(a.resized<12>()); }
+
+U192 modn_mul(const U192& a, const U192& b) {
+  return reduce_barrett(mul_wide(a, b));
+}
+
+U192 modn_inv(const U192& a) {
+  if (a.is_zero()) throw std::domain_error("modn_inv: zero");
+  return inverse_mod_odd(a, order());
+}
 
 Bytes EcdsaSignature::to_bytes() const {
   Bytes out = r.to_bytes_be();
@@ -122,6 +120,7 @@ EcdsaSignature ecdsa_sign(const U192& d, ByteView message) {
     // big_r cannot be infinity for k in [1, n-1].
     const U192 r = modn(big_r.x.value().resized<6>());
     if (r.is_zero()) continue;
+    // modn_inv is variable-time in the secret nonce k (see ecdsa.hpp).
     const U192 s = modn_mul(modn_inv(k), modn_add(e, modn_mul(r, d)));
     if (s.is_zero()) continue;
     return EcdsaSignature{r, s};
@@ -139,8 +138,7 @@ bool ecdsa_verify(const EcPoint& q, ByteView message,
   const U192 u1 = modn_mul(e, w);
   const U192 u2 = modn_mul(sig.r, w);
 
-  const EcPoint x = Secp160r1::add(Secp160r1::scalar_mul_base(u1),
-                                   Secp160r1::scalar_mul(u2, q));
+  const EcPoint x = Secp160r1::joint_scalar_mul(u1, u2, q);
   if (x.infinity) return false;
   const U192 v = modn(x.x.value().resized<6>());
   return v == sig.r;

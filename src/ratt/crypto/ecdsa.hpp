@@ -10,6 +10,11 @@
 // Per-signature secrets are derived deterministically from the key and
 // message (RFC 6979 in spirit, via HMAC-DRBG), so no ambient randomness is
 // needed and all experiments are reproducible.
+//
+// Nothing here is constant-time on the host: the nonce k·G, the nonce
+// inverse (binary extended Euclid) and the verifier's joint scalar
+// multiplication all take data-dependent time. The simulated device's
+// cost is priced by the timing model, not by these host cycles.
 #pragma once
 
 #include "ratt/crypto/bytes.hpp"
@@ -33,6 +38,18 @@ struct EcdsaKeyPair {
   U192 private_key;  // d in [1, n-1]
   EcPoint public_key;  // Q = d·G
 };
+
+// Arithmetic modulo the group order n, where ECDSA's scalars live.
+// Public so tests can check it against a reference implementation;
+// results are fully reduced, in [0, n).
+
+/// a mod n, for any a < 2^192.
+U192 modn(const U192& a);
+/// a·b mod n, by Barrett reduction; requires a, b < n.
+U192 modn_mul(const U192& a, const U192& b);
+/// a^-1 mod n, by binary extended Euclid (variable-time); requires
+/// a < n, throws std::domain_error for a == 0.
+U192 modn_inv(const U192& a);
 
 /// Derive a key pair from seed material (deterministic).
 EcdsaKeyPair ecdsa_generate_key(ByteView seed);

@@ -15,39 +15,31 @@ const U160& prime() {
   return p;
 }
 
-// Reduce a 320-bit product modulo p using 2^160 ≡ 2^31 + 1 (mod p):
-//   a = hi·2^160 + lo ≡ hi·2^31 + hi + lo.
-// hi·2^31 of a 160-bit hi is at most 191 bits, so one fold shrinks the
-// value below 2^192; a second fold brings it below 2·p, and a final
-// conditional subtraction normalizes.
+// Reduce a 320-bit product modulo p, limb by limb, using
+//   a = hi·2^160 + lo ≡ lo + hi·(2^31 + 1) (mod p).
+// Each 64-bit step hi_i·(2^31 + 1) + lo_i + carry stays below 2^64. The
+// carry out of the top limb (< 2^32) is folded the same way; that fold
+// can carry past 2^160 only when it leaves the low limbs below 2^64, so
+// folding that one bit cannot carry again. The result is then < 2^160
+// < 2p, and one conditional subtraction normalizes it.
 U160 reduce320(const U320& a) {
-  auto split = [](const U320& v, U160& lo, U160& hi) {
-    for (std::size_t i = 0; i < 5; ++i) {
-      lo.set_limb(i, v.limb(i));
-      hi.set_limb(i, v.limb(i + 5));
-    }
-  };
-
-  U160 lo, hi;
-  split(a, lo, hi);
-
-  // acc = lo + hi + hi·2^31, computed in 320 bits (cannot overflow).
-  U320 acc = lo.resized<10>();
-  U320 hi_wide = hi.resized<10>();
-  acc = acc + hi_wide + hi_wide.shifted_left(31);
-
-  split(acc, lo, hi);  // hi is now at most 32 bits
-  U320 acc2 = lo.resized<10>();
-  hi_wide = hi.resized<10>();
-  acc2 = acc2 + hi_wide + hi_wide.shifted_left(31);
-
-  // acc2 < 2^161 + small, i.e. fits in 6 limbs; subtract p until < p.
-  U192 r = acc2.resized<6>();
-  const U192 p_wide = prime().resized<6>();
-  while (r >= p_wide) {
-    r = r - p_wide;
+  constexpr std::uint64_t kFold = (std::uint64_t{1} << 31) + 1;
+  U160 r;
+  std::uint64_t t = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    t = std::uint64_t{a.limb(i + 5)} * kFold + a.limb(i) + (t >> 32);
+    r.set_limb(i, static_cast<std::uint32_t>(t));
   }
-  return r.resized<5>();
+  for (int fold = 0; fold < 2; ++fold) {
+    t = std::uint64_t{r.limb(0)} + (t >> 32) * kFold;
+    r.set_limb(0, static_cast<std::uint32_t>(t));
+    for (std::size_t i = 1; i < 5; ++i) {
+      t = std::uint64_t{r.limb(i)} + (t >> 32);
+      r.set_limb(i, static_cast<std::uint32_t>(t));
+    }
+  }
+  if (r >= prime()) r = r - prime();
+  return r;
 }
 
 }  // namespace
@@ -119,9 +111,9 @@ Fp160 Fp160::inverse() const {
   if (value_.is_zero()) {
     throw std::domain_error("Fp160::inverse: zero has no inverse");
   }
-  // Fermat: a^(p-2) mod p. p is prime, so this is exact.
-  const U160 exponent = prime() - U160(2);
-  return pow(exponent);
+  Fp160 out;
+  out.value_ = inverse_mod_odd(value_, prime());
+  return out;
 }
 
 }  // namespace ratt::crypto

@@ -39,7 +39,8 @@ class Fp160 {
   Fp160 negated() const;
   Fp160 squared() const { return *this * *this; }
 
-  /// Multiplicative inverse; throws std::domain_error on zero.
+  /// Multiplicative inverse by binary extended Euclid (variable-time);
+  /// throws std::domain_error on zero.
   Fp160 inverse() const;
 
   /// Square root, if one exists (p = 3 mod 4, so a^((p+1)/4) works).

@@ -1,5 +1,6 @@
 #include "ratt/crypto/hkdf.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "ratt/crypto/hmac.hpp"
@@ -9,11 +10,9 @@ namespace ratt::crypto {
 
 Bytes hkdf_extract(ByteView salt, ByteView ikm) {
   // RFC 5869: absent salt = a string of HashLen zeros.
-  Bytes salt_buf(salt.begin(), salt.end());
-  if (salt_buf.empty()) {
-    salt_buf.assign(Sha256::kDigestSize, 0);
-  }
-  const auto prk = Hmac<Sha256>::mac(salt_buf, ikm);
+  static constexpr std::array<std::uint8_t, Sha256::kDigestSize> kZeroSalt{};
+  const auto prk =
+      Hmac<Sha256>::mac(salt.empty() ? ByteView(kZeroSalt) : salt, ikm);
   return Bytes(prk.begin(), prk.end());
 }
 

@@ -4,9 +4,12 @@
 
 #include "ratt/crypto/bigint.hpp"
 #include "ratt/crypto/drbg.hpp"
+#include "reference_arith.hpp"
 
 namespace ratt::crypto {
 namespace {
+
+using reference::mod_wide;
 
 U160 rand_u160(HmacDrbg& drbg) {
   return U160::from_bytes_be(drbg.generate(U160::kBytes));

@@ -4,9 +4,12 @@
 
 #include "ratt/crypto/drbg.hpp"
 #include "ratt/crypto/ec.hpp"
+#include "reference_arith.hpp"
 
 namespace ratt::crypto {
 namespace {
+
+using reference::mod_wide;
 
 U192 rand_scalar(HmacDrbg& drbg) {
   // Any 160-bit value is a valid (possibly large) scalar for these tests.

@@ -1,7 +1,9 @@
-// ECDSA over secp160r1: sign/verify round trips, determinism, and
-// rejection of malformed inputs.
+// ECDSA over secp160r1: sign/verify round trips, determinism, rejection
+// of malformed inputs, and known-answer goldens for the vendor key and the
+// default prover image's ROM reference.
 #include <gtest/gtest.h>
 
+#include "ratt/attest/prover.hpp"
 #include "ratt/crypto/bytes.hpp"
 #include "ratt/crypto/ecdsa.hpp"
 
@@ -126,6 +128,61 @@ TEST_P(EcdsaManyKeys, RoundTripAcrossKeysAndMessages) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EcdsaManyKeys, ::testing::Range(0, 6));
+
+// Known answers, captured from the bit-serial/Fermat arithmetic these
+// routines replaced: any change in reduction, inversion or scalar
+// multiplication must reproduce them byte for byte (keys, deterministic
+// signatures and the signed ROM reference every prover boots from).
+class EcdsaKnownAnswer : public ::testing::Test {
+ protected:
+  EcdsaKeyPair vendor_ =
+      ecdsa_generate_key(from_string("prover-vendor-key"));
+};
+
+TEST_F(EcdsaKnownAnswer, VendorPublicKey) {
+  EXPECT_EQ(to_hex(vendor_.public_key.encode(/*compressed=*/false)),
+            "044378bbf73f986c960d3b8d4b5dad08ccd3b0c0d5"
+            "f016ad5a28290e7b0851995662951d4d5bd81921");
+  EXPECT_EQ(to_hex(vendor_.public_key.encode(/*compressed=*/true)),
+            "034378bbf73f986c960d3b8d4b5dad08ccd3b0c0d5");
+}
+
+TEST_F(EcdsaKnownAnswer, Signatures) {
+  struct Case {
+    const char* message;
+    const char* signature;  // r || s, 24 bytes each
+  };
+  const Case cases[] = {
+      {"",
+       "0000000049cc8d04a0867379af5f162785cede718d293688"
+       "00000000ebb7065b0980cfeb787310e6e59ae54c6e595c05"},
+      {"attestation request #42",
+       "00000000e29ea3820bb9a807e61cbdc65db3849de9cc5ea3"
+       "00000000ed590665744e73cbf7f12e512da03bd5fdc270e1"},
+      {"ratt secure boot reference",
+       "000000008c88bf36fea17e83a37a12957f47fae121970a3a"
+       "00000000eadeadcc3a5835f8db63ff765a471740f738045a"},
+  };
+  for (const auto& c : cases) {
+    const Bytes msg = from_string(c.message);
+    const EcdsaSignature sig = ecdsa_sign(vendor_.private_key, msg);
+    EXPECT_EQ(to_hex(sig.to_bytes()), c.signature) << c.message;
+    EXPECT_TRUE(ecdsa_verify(vendor_.public_key, msg, sig)) << c.message;
+  }
+}
+
+TEST_F(EcdsaKnownAnswer, DefaultProverRomReference) {
+  const attest::ProverTemplate tmpl = attest::ProverDevice::make_template(
+      attest::ProverConfig{}, from_string("app-seed"));
+  EXPECT_EQ(to_hex(ByteView(tmpl.reference.expected_hash.data(),
+                            tmpl.reference.expected_hash.size())),
+            "ced9d67b169f77a85504858b393e7bab"
+            "b775939d1cf08980748cc09857c76f6a");
+  EXPECT_EQ(to_hex(tmpl.reference.signature.to_bytes()),
+            "00000000e707c329b3f0d1b40670ec12ad03197dbfda9943"
+            "00000000015f5f514e585336e35dc63c381a5c44d8210be6");
+  EXPECT_EQ(tmpl.reference.vendor_key, vendor_.public_key);
+}
 
 }  // namespace
 }  // namespace ratt::crypto
