@@ -32,7 +32,9 @@
 //                   can byte-compare the stdout/trace of both stacks.
 //                   --check-against=BENCH_fleet.json re-runs the pinned
 //                   configuration and fails on any deterministic-field
-//                   mismatch or a >60% requests/s regression.
+//                   mismatch, a >60% requests/s regression, or a
+//                   resident footprint per device >10% above the
+//                   baseline's.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -40,6 +42,8 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include <sys/resource.h>
 
 #include "ratt/obs/metrics.hpp"
 #include "ratt/sim/swarm.hpp"
@@ -393,13 +397,25 @@ struct FleetResult {
   std::string trace_fnv;
   double requests_per_sec = 0.0;
   double wall_ms = 0.0;
+  double resident_per_device = 0.0;  // Swarm::resident() audit, bytes
 };
+
+/// Peak resident set of this process (getrusage ru_maxrss, KB on
+/// Linux): the heap the resident() audit does not see shows up here.
+long peak_rss_kb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
 
 /// Gate a --fleet run against a pinned BENCH_fleet.json: deterministic
 /// fields must match exactly; requests/s may not fall below 40% of the
 /// recorded machine's rate (generous, so a loaded CI runner does not
 /// flake, while a real scheduler regression — the wheel degrading to
-/// heap-like behavior is several x — still trips it).
+/// heap-like behavior is several x — still trips it); and when the
+/// baseline records resident_bytes_per_device, the audit may not exceed
+/// it by more than 10% (it moves only with allocation layout, not with
+/// host load).
 int check_fleet_against(const FleetScaleOptions& opt,
                         const FleetResult& result) {
   std::ifstream in(opt.check_path, std::ios::binary);
@@ -461,6 +477,22 @@ int check_fleet_against(const FleetScaleOptions& opt,
                  "perf gate ok: %.0f requests/s vs baseline %.0f "
                  "(floor %.0f%%)\n",
                  result.requests_per_sec, base_rps, opt.min_speedup * 100.0);
+  }
+  double base_resident = 0.0;
+  if (find_json_number(text, "resident_bytes_per_device", &base_resident)) {
+    const double limit = 1.10 * base_resident;
+    if (result.resident_per_device > limit) {
+      std::fprintf(stderr,
+                   "FLEET FOOTPRINT REGRESSION: %.1f resident bytes/device "
+                   "vs baseline %.1f (limit %.1f)\n",
+                   result.resident_per_device, base_resident, limit);
+      ++failures;
+    } else {
+      std::fprintf(stderr,
+                   "footprint gate ok: %.1f resident bytes/device vs "
+                   "baseline %.1f (limit %.1f)\n",
+                   result.resident_per_device, base_resident, limit);
+    }
   }
   if (failures == 0) {
     std::fprintf(stderr, "fleet gate ok (vs %s)\n", opt.check_path.c_str());
@@ -559,14 +591,18 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   }
   // Footprint report (stderr — resident bytes depend on malloc behavior
   // no more than page/slab math, but they are not part of the pinned
-  // deterministic stdout surface).
+  // deterministic stdout surface). The process peak RSS beside it shows
+  // what the audit misses.
   const sim::Swarm::ResidentReport resident = swarm.resident();
+  result.resident_per_device = resident.per_device_bytes();
+  const long rss_kb = peak_rss_kb();
   std::fprintf(stderr,
                "resident: devices=%zu arena_bytes=%zu bus_bytes=%zu "
-               "table_bytes=%zu shared_bytes=%zu per_device_bytes=%.1f\n",
+               "table_bytes=%zu shared_bytes=%zu per_device_bytes=%.1f "
+               "peak_rss_kb=%ld\n",
                resident.devices, resident.arena_bytes, resident.bus_bytes,
                resident.table_bytes, resident.shared_bytes,
-               resident.per_device_bytes());
+               resident.per_device_bytes(), rss_kb);
   std::fprintf(stderr, "threads=%zu wall_ms=%.1f requests_per_sec=%.0f\n",
                opt.threads, wall_ms, result.requests_per_sec);
   if (report.events_leftover != 0) {
@@ -602,6 +638,7 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
          << "  \"soa_blocks\": " << (opt.no_soa ? "false" : "true") << ",\n"
          << "  \"resident_bytes_per_device\": " << resident.per_device_bytes()
          << ",\n"
+         << "  \"peak_rss_kb\": " << rss_kb << ",\n"
          << "  \"measured_bytes\": " << opt.measured << ",\n"
          << "  \"period_ms\": " << opt.period_ms << ",\n"
          << "  \"horizon_ms\": " << opt.horizon_ms << ",\n"

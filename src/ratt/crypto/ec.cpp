@@ -43,21 +43,23 @@ EcPoint to_affine(const Jacobian& p) {
   return EcPoint::make(p.x * z_inv2, p.y * z_inv2 * z_inv);
 }
 
-// dbl-2001-b (a = -3, which holds for secp160r1: a = p - 3).
+// dbl-2001-b (a = -3, which holds for secp160r1: a = p - 3). Small
+// constant factors are field additions, not multiplications.
 Jacobian jacobian_double(const Jacobian& p) {
   if (p.is_infinity() || p.y.is_zero()) return Jacobian{};
-  const Fp160 two(std::uint64_t{2});
-  const Fp160 three(std::uint64_t{3});
-  const Fp160 four(std::uint64_t{4});
-  const Fp160 eight(std::uint64_t{8});
-
   const Fp160 delta = p.z.squared();
   const Fp160 gamma = p.y.squared();
   const Fp160 beta = p.x * gamma;
-  const Fp160 alpha = three * (p.x - delta) * (p.x + delta);
-  const Fp160 x3 = alpha.squared() - eight * beta;
+  const Fp160 m = (p.x - delta) * (p.x + delta);
+  const Fp160 alpha = m + m + m;
+  const Fp160 beta2 = beta + beta;
+  const Fp160 beta4 = beta2 + beta2;
+  const Fp160 x3 = alpha.squared() - (beta4 + beta4);
   const Fp160 z3 = (p.y + p.z).squared() - gamma - delta;
-  const Fp160 y3 = alpha * (four * beta - x3) - eight * gamma.squared();
+  const Fp160 gg = gamma.squared();
+  const Fp160 gg2 = gg + gg;
+  const Fp160 gg4 = gg2 + gg2;
+  const Fp160 y3 = alpha * (beta4 - x3) - (gg4 + gg4);
   return Jacobian{x3, y3, z3};
 }
 
@@ -66,12 +68,12 @@ Jacobian jacobian_add_affine(const Jacobian& p, const EcPoint& q) {
   if (q.infinity) return p;
   if (p.is_infinity()) return to_jacobian(q);
 
-  const Fp160 two(std::uint64_t{2});
   const Fp160 z1z1 = p.z.squared();
   const Fp160 u2 = q.x * z1z1;
   const Fp160 s2 = q.y * p.z * z1z1;
   const Fp160 h = u2 - p.x;
-  const Fp160 r = two * (s2 - p.y);
+  const Fp160 sd = s2 - p.y;
+  const Fp160 r = sd + sd;
 
   if (h.is_zero()) {
     if (r.is_zero()) return jacobian_double(p);
@@ -79,11 +81,13 @@ Jacobian jacobian_add_affine(const Jacobian& p, const EcPoint& q) {
   }
 
   const Fp160 hh = h.squared();
-  const Fp160 i = Fp160(std::uint64_t{4}) * hh;
+  const Fp160 hh2 = hh + hh;
+  const Fp160 i = hh2 + hh2;
   const Fp160 j = h * i;
   const Fp160 v = p.x * i;
-  const Fp160 x3 = r.squared() - j - two * v;
-  const Fp160 y3 = r * (v - x3) - two * p.y * j;
+  const Fp160 x3 = r.squared() - j - (v + v);
+  const Fp160 yj = p.y * j;
+  const Fp160 y3 = r * (v - x3) - (yj + yj);
   const Fp160 z3 = (p.z + h).squared() - z1z1 - hh;
   return Jacobian{x3, y3, z3};
 }

@@ -35,6 +35,74 @@ std::string to_string(BusStatus status) {
   return "unknown";
 }
 
+void MemoryBus::Region::read_span(std::size_t off, std::size_t n,
+                                  std::uint8_t* dst) const {
+  const Page* page = page_at(off / kPageSize);
+  const std::size_t in_page = off % kPageSize;
+  std::size_t stored = 0;
+  if (page != nullptr && in_page < page->backed) {
+    stored = std::min<std::size_t>(n, page->backed - in_page);
+    std::memcpy(dst, page->data + in_page, stored);
+  }
+  std::memset(dst + stored, fill, n - stored);
+}
+
+std::uint8_t* MemoryBus::Region::touch_page(std::size_t p, std::size_t end) {
+  std::uint32_t idx = page_index[p];
+  if (idx == kNoPage) {
+    idx = static_cast<std::uint32_t>(pages.size());
+    pages.push_back(Page{nullptr, nullptr, 0, static_cast<std::uint32_t>(p)});
+    page_index[p] = idx;
+  }
+  Page& page = pages[idx];
+  const bool grow = end > page.backed;
+  if (grow || page.owner.use_count() > 1) {
+    // A power-of-two number of lines, so the backing is a function of the
+    // highest byte written alone (the per-byte reference path and the
+    // bulk path end up with the same allocation).
+    const std::size_t len =
+        grow ? std::min(page_len(p),
+                        std::max(kLineSize, std::bit_ceil(end)))
+             : page.backed;
+    auto fresh = std::make_shared<Bytes>(len, fill);
+    if (page.backed != 0) std::memcpy(fresh->data(), page.data, page.backed);
+    page.owner = std::move(fresh);
+    page.data = page.owner->data();
+    page.backed = static_cast<std::uint32_t>(len);
+  }
+  return page.data;
+}
+
+void MemoryBus::Region::store(std::size_t off, const std::uint8_t* src,
+                              std::size_t n, bool program) {
+  const std::size_t p = off / kPageSize;
+  const std::size_t in_page = off % kPageSize;
+  const Page* page = page_at(p);
+  const std::size_t backed = page == nullptr ? 0 : page->backed;
+  while (n > 0 && in_page + n > backed && src[n - 1] == fill) --n;
+  if (n == 0) return;
+  std::uint8_t* dst = touch_page(p, in_page + n) + in_page;
+  if (program) {
+    for (std::size_t j = 0; j < n; ++j) {
+      dst[j] = static_cast<std::uint8_t>(dst[j] & src[j]);
+    }
+  } else {
+    std::memcpy(dst, src, n);
+  }
+}
+
+void MemoryBus::Region::drop_page(std::size_t p) {
+  const std::uint32_t idx = page_index[p];
+  if (idx == kNoPage) return;
+  const auto last = static_cast<std::uint32_t>(pages.size() - 1);
+  if (idx != last) {
+    pages[idx] = std::move(pages[last]);
+    page_index[pages[idx].page_no] = idx;
+  }
+  pages.pop_back();
+  page_index[p] = kNoPage;
+}
+
 void MemoryBus::check_overlap(const AddrRange& range,
                               const std::string& name) const {
   if (range.empty()) {
@@ -171,27 +239,13 @@ BusStatus MemoryBus::access8(const AccessContext& ctx, AccessType type,
       if (type == AccessType::kRead) {
         *read_out = region->read_byte(offset);
       } else {
-        const std::size_t p = offset / kPageSize;
-        // Fill-value writes to an absent page leave it unmaterialized —
+        // A fill-value write past the backed prefix leaves it as it is —
         // the stored bytes would not change — but the page still dirties:
-        // attestation tracks write events, not content diffs.
-        const bool keeps_fill =
-            region->page_absent(p) &&
-            (region->info.kind == MemoryKind::kFlash
-                 ? static_cast<std::uint8_t>(region->fill & write_value) ==
-                       region->fill
-                 : write_value == region->fill);
-        if (!keeps_fill) {
-          if (region->info.kind == MemoryKind::kFlash) {
-            // NOR program: can only clear bits; setting bits needs an
-            // erase.
-            std::uint8_t& b = region->byte_for_write(offset);
-            b = static_cast<std::uint8_t>(b & write_value);
-          } else {
-            region->byte_for_write(offset) = write_value;
-          }
-        }
-        mark_page_dirty(*region, p);
+        // attestation tracks write events, not content diffs. NOR flash
+        // programs (clears bits only); setting bits needs an erase.
+        region->store(offset, &write_value, 1,
+                      region->info.kind == MemoryKind::kFlash);
+        mark_page_dirty(*region, offset / kPageSize);
       }
     }
   }
@@ -311,20 +365,14 @@ BusStatus MemoryBus::read_block(const AccessContext& ctx, Addr addr,
         out[done + i] = region->device->read(offset + static_cast<Addr>(i));
       }
     } else {
-      // Copy page by page; absent pages deliver the fill byte without
-      // being materialized (reads never allocate).
+      // Copy page by page; absent pages and unbacked tails deliver the
+      // fill byte without being materialized (reads never allocate).
       std::size_t i = 0;
       while (i < n) {
         const std::size_t off = static_cast<std::size_t>(offset) + i;
-        const std::size_t in_page = off % kPageSize;
         const std::size_t chunk =
-            std::min<std::size_t>(n - i, kPageSize - in_page);
-        const Bytes* page = region->page_at(off / kPageSize);
-        if (page == nullptr) {
-          std::memset(out.data() + done + i, region->fill, chunk);
-        } else {
-          std::memcpy(out.data() + done + i, page->data() + in_page, chunk);
-        }
+            std::min<std::size_t>(n - i, kPageSize - off % kPageSize);
+        region->read_span(off, chunk, out.data() + done + i);
         i += chunk;
       }
     }
@@ -372,51 +420,19 @@ BusStatus MemoryBus::write_block(const AccessContext& ctx, Addr addr,
           return BusStatus::kReadOnly;
         }
       }
-    } else if (region->info.kind == MemoryKind::kFlash) {
-      // NOR program semantics per byte (clear bits only), without the
-      // per-byte region/rule lookups.
-      std::size_t i = 0;
-      while (i < n) {
-        const std::size_t off = static_cast<std::size_t>(offset) + i;
-        const std::size_t in_page = off % kPageSize;
-        const std::size_t chunk =
-            std::min<std::size_t>(n - i, kPageSize - in_page);
-        const std::size_t p = off / kPageSize;
-        const std::uint8_t* src = data.data() + done + i;
-        // Same fill-skip as access8: programming bytes that keep the
-        // erased pattern leaves the page absent but still dirties it.
-        const bool keeps_fill =
-            region->page_absent(p) &&
-            std::all_of(src, src + chunk, [&](std::uint8_t v) {
-              return static_cast<std::uint8_t>(region->fill & v) ==
-                     region->fill;
-            });
-        if (!keeps_fill) {
-          std::uint8_t* dst = region->touch_page(p).data() + in_page;
-          for (std::size_t j = 0; j < chunk; ++j) {
-            dst[j] = static_cast<std::uint8_t>(dst[j] & src[j]);
-          }
-        }
-        mark_page_dirty(*region, p);
-        i += chunk;
-      }
     } else {
+      // Page by page without the per-byte region/rule lookups; NOR flash
+      // keeps its program semantics (clear bits only), and fill bytes
+      // past the backed prefix are skipped exactly as in access8, while
+      // every spanned page still dirties.
+      const bool program = region->info.kind == MemoryKind::kFlash;
       std::size_t i = 0;
       while (i < n) {
         const std::size_t off = static_cast<std::size_t>(offset) + i;
-        const std::size_t in_page = off % kPageSize;
         const std::size_t chunk =
-            std::min<std::size_t>(n - i, kPageSize - in_page);
-        const std::size_t p = off / kPageSize;
-        const std::uint8_t* src = data.data() + done + i;
-        const bool keeps_fill =
-            region->page_absent(p) &&
-            std::all_of(src, src + chunk,
-                        [&](std::uint8_t v) { return v == region->fill; });
-        if (!keeps_fill) {
-          std::memcpy(region->touch_page(p).data() + in_page, src, chunk);
-        }
-        mark_page_dirty(*region, p);
+            std::min<std::size_t>(n - i, kPageSize - off % kPageSize);
+        region->store(off, data.data() + done + i, chunk, program);
+        mark_page_dirty(*region, off / kPageSize);
         i += chunk;
       }
     }
@@ -539,11 +555,9 @@ void MemoryBus::load_initial(Addr addr, ByteView data) {
     std::size_t i = 0;
     while (i < n) {
       const std::size_t off = static_cast<std::size_t>(offset) + i;
-      const std::size_t in_page = off % kPageSize;
       const std::size_t chunk =
-          std::min<std::size_t>(n - i, kPageSize - in_page);
-      std::memcpy(region->touch_page(off / kPageSize).data() + in_page,
-                  data.data() + done + i, chunk);
+          std::min<std::size_t>(n - i, kPageSize - off % kPageSize);
+      region->store(off, data.data() + done + i, chunk, /*program=*/false);
       i += chunk;
     }
     done += n;
@@ -559,16 +573,17 @@ bool MemoryBus::load_initial_shared(Addr page_base,
   const std::size_t p = offset / kPageSize;
   if (!region->page_absent(p)) return false;
   if (page == nullptr || page->size() != region->page_len(p)) return false;
-  region->page_index[p] = static_cast<std::uint32_t>(region->store.size());
-  region->store.push_back(page);
-  region->store_page.push_back(static_cast<std::uint32_t>(p));
+  region->page_index[p] = static_cast<std::uint32_t>(region->pages.size());
+  region->pages.push_back(Page{page, page->data(),
+                               static_cast<std::uint32_t>(page->size()),
+                               static_cast<std::uint32_t>(p)});
   return true;
 }
 
 std::size_t MemoryBus::resident_bytes() const {
   std::size_t total = 0;
   for (const auto& r : regions_) {
-    for (const auto& page : r->store) total += page->size();
+    for (const Page& page : r->pages) total += page.backed;
   }
   return total;
 }
@@ -576,8 +591,8 @@ std::size_t MemoryBus::resident_bytes() const {
 std::size_t MemoryBus::shared_resident_bytes() const {
   std::size_t total = 0;
   for (const auto& r : regions_) {
-    for (const auto& page : r->store) {
-      if (page.use_count() > 1) total += page->size();
+    for (const Page& page : r->pages) {
+      if (page.owner.use_count() > 1) total += page.backed;
     }
   }
   return total;
@@ -587,8 +602,7 @@ std::size_t MemoryBus::page_table_bytes() const {
   std::size_t total = 0;
   for (const auto& r : regions_) {
     total += r->page_index.capacity() * sizeof(std::uint32_t) +
-             r->store.capacity() * sizeof(std::shared_ptr<Bytes>) +
-             r->store_page.capacity() * sizeof(std::uint32_t) +
+             r->pages.capacity() * sizeof(Page) +
              r->dirty.capacity() * sizeof(std::uint64_t);
   }
   return total;

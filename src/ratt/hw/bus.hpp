@@ -200,10 +200,12 @@ class MemoryBus {
   std::uint64_t faults_dropped() const { return faults_dropped_; }
   void clear_faults();
 
-  /// Bytes of backing store actually allocated: materialized pages summed
-  /// over all storage regions. Mapped-but-untouched address space costs
-  /// only its page table, which is what lets a mostly-idle million-device
-  /// fleet map a megabyte of flash per device without buying the RAM.
+  /// Bytes of backing store actually allocated: the backed prefix of
+  /// every materialized page, summed over all storage regions.
+  /// Mapped-but-untouched address space costs only its page table, which
+  /// is what lets a mostly-idle million-device fleet map a megabyte of
+  /// flash per device without buying the RAM, and a page written only
+  /// near its start costs a few lines, not 4 KB.
   /// Pages aliased from a shared template count at full size here; see
   /// shared_resident_bytes() for the portion a fleet report should
   /// amortize across the devices referencing the same physical copy.
@@ -215,7 +217,7 @@ class MemoryBus {
   std::size_t shared_resident_bytes() const;
 
   /// Heap bytes of the paging metadata itself: page-index slots, dense
-  /// store bookkeeping and dirty bitmaps. The honest remainder of a
+  /// page entries and dirty bitmaps. The honest remainder of a
   /// per-device footprint report — this is what a mapped-but-untouched
   /// region actually costs.
   std::size_t page_table_bytes() const;
@@ -259,26 +261,41 @@ class MemoryBus {
   static constexpr std::size_t kPageSize = 4096;
   static_assert(kPageSize == static_cast<std::size_t>(kFlashBlockSize));
 
+  /// Backing granularity inside a page: a private page stores a prefix
+  /// of whole lines.
+  static constexpr std::size_t kLineSize = 64;
+
+  /// One materialized page. `owner` keeps the bytes alive and is
+  /// shared_ptr so a fleet template can alias one physical page into
+  /// thousands of buses; use_count > 1 means somebody else also holds it
+  /// and a write must clone first. `data` caches owner->data(). Only the
+  /// prefix [0, backed) is stored: bytes at or past `backed` read as the
+  /// region's fill byte.
+  struct Page {
+    std::shared_ptr<Bytes> owner;
+    std::uint8_t* data = nullptr;
+    std::uint32_t backed = 0;
+    std::uint32_t page_no = 0;  // the page_index slot pointing here
+  };
+
   struct Region {
     RegionInfo info;
     // Storage-backed regions are paged sparsely: `page_index` holds one
     // 32-bit slot per page of address space (kNoPage = absent) pointing
-    // into the dense `store` of materialized pages, and `store_page`
-    // maps each store entry back to its page number so an erase can
-    // drop a page by swapping with the last entry. Absent pages read as
-    // `fill` (0xff for erased flash, 0x00 for ROM/RAM — exactly the
-    // power-up contents) and materialize on first non-fill write; the
-    // last page is clamped to the region size. A mapped-but-untouched
-    // 512 KB region therefore costs 4 bytes per page instead of a
-    // vector header — the difference between ~19 KB and ~14 KB of
-    // resident footprint per fleet device.
+    // into the dense `pages`, and each Page names its slot so an erase
+    // can drop a page by swapping with the last entry. Absent pages, and
+    // the unbacked tail of a present one, read as `fill` (0xff for
+    // erased flash, 0x00 for ROM/RAM — exactly the power-up contents).
+    // A private page backs a power-of-two number of 64-byte lines
+    // covering the highest byte ever written, so sequential writes grow
+    // it geometrically and the size depends only on that byte, never on
+    // how the writes were split; it is capped at the page length (the
+    // last page is clamped to the region size). A mapped-but-untouched
+    // 512 KB region therefore costs 4 bytes per page, and an 8-byte
+    // counter near the start of a page costs a few lines, not 4 KB.
     static constexpr std::uint32_t kNoPage = 0xffffffffu;
     std::vector<std::uint32_t> page_index;  // one slot per page of space
-    // Materialized pages, dense. shared_ptr so a fleet template can
-    // alias one physical page into thousands of buses; use_count > 1
-    // means somebody else also holds it and a write must clone first.
-    std::vector<std::shared_ptr<Bytes>> store;
-    std::vector<std::uint32_t> store_page;  // page number per store entry
+    std::vector<Page> pages;                // materialized pages, dense
     std::uint8_t fill = 0x00;
     MmioDevice* device = nullptr;  // device-backed regions
     // One bit per page, set on every successful write to the page and
@@ -297,48 +314,37 @@ class MemoryBus {
       return page_index[p] == kNoPage;
     }
     /// The materialized page holding slot `p`, or nullptr if absent.
-    const Bytes* page_at(std::size_t p) const {
+    const Page* page_at(std::size_t p) const {
       const std::uint32_t idx = page_index[p];
-      return idx == kNoPage ? nullptr : store[idx].get();
+      return idx == kNoPage ? nullptr : &pages[idx];
     }
     std::uint8_t read_byte(Addr offset) const {
-      const Bytes* page = page_at(offset / kPageSize);
-      return page == nullptr ? fill : (*page)[offset % kPageSize];
+      const Page* page = page_at(offset / kPageSize);
+      const std::size_t in_page = offset % kPageSize;
+      return page != nullptr && in_page < page->backed ? page->data[in_page]
+                                                       : fill;
     }
-    /// The page holding region offset p * kPageSize, materialized (and
-    /// filled with `fill`) if absent, for WRITING: a page aliased from
-    /// the fleet template is copy-on-write cloned here, so the caller
-    /// always gets a privately-owned page it may mutate.
-    Bytes& touch_page(std::size_t p) {
-      std::uint32_t idx = page_index[p];
-      if (idx == kNoPage) {
-        idx = static_cast<std::uint32_t>(store.size());
-        store.push_back(std::make_shared<Bytes>(page_len(p), fill));
-        store_page.push_back(static_cast<std::uint32_t>(p));
-        page_index[p] = idx;
-      } else if (store[idx].use_count() > 1) {
-        store[idx] = std::make_shared<Bytes>(*store[idx]);
-      }
-      return *store[idx];
-    }
-    std::uint8_t& byte_for_write(Addr offset) {
-      return touch_page(offset / kPageSize)[offset % kPageSize];
-    }
-    /// Release page `p`'s backing store (flash erase): the last store
-    /// entry swaps into the vacated slot so the store stays dense.
-    void drop_page(std::size_t p) {
-      const std::uint32_t idx = page_index[p];
-      if (idx == kNoPage) return;
-      const auto last = static_cast<std::uint32_t>(store.size() - 1);
-      if (idx != last) {
-        store[idx] = std::move(store[last]);
-        store_page[idx] = store_page[last];
-        page_index[store_page[idx]] = idx;
-      }
-      store.pop_back();
-      store_page.pop_back();
-      page_index[p] = kNoPage;
-    }
+    /// Copy `n` bytes at region offset `off` (all within one page) to
+    /// `dst`: the backed part by memcpy, the rest as `fill`. Reads never
+    /// allocate.
+    void read_span(std::size_t off, std::size_t n, std::uint8_t* dst) const;
+    /// Page `p`'s data for WRITING, materialized if absent and backed up
+    /// to at least `end` (new bytes hold `fill`). A page aliased from the
+    /// fleet template is copy-on-write cloned here, and never resized in
+    /// place while shared, so the caller always gets a privately-owned
+    /// page it may mutate.
+    std::uint8_t* touch_page(std::size_t p, std::size_t end);
+    /// Store `n` bytes from `src` at region offset `off` (all within one
+    /// page); `program` ANDs them in (NOR flash) instead of copying.
+    /// Trailing bytes that land past the backed prefix and equal the
+    /// fill byte change nothing and are not stored — a fill-only write
+    /// past the prefix allocates nothing. (For NOR flash the fill is
+    /// 0xff, and 0xff & v == 0xff exactly when v == 0xff.)
+    void store(std::size_t off, const std::uint8_t* src, std::size_t n,
+               bool program);
+    /// Release page `p`'s backing store (flash erase): the last page
+    /// entry swaps into the vacated slot so `pages` stays dense.
+    void drop_page(std::size_t p);
   };
 
   Region* find(Addr addr);

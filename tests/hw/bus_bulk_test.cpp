@@ -140,6 +140,9 @@ class BusPair {
     }
     EXPECT_EQ(fast_.faults_total(), slow_.faults_total());
     EXPECT_EQ(fast_.faults_dropped(), slow_.faults_dropped());
+    // A page's backed prefix depends only on the highest byte written to
+    // it, so both paths allocate the same.
+    EXPECT_EQ(fast_.resident_bytes(), slow_.resident_bytes());
   }
 
   MemoryBus& fast() { return fast_; }
@@ -387,8 +390,10 @@ TEST(BulkDifferentialFuzz, RandomLayoutsRulesAndOps) {
       const AddrRange range{cursor, cursor + size};
       const MemoryKind kind = kKinds[rng.next(3)];
       pair.map_storage("r" + std::to_string(i), kind, range);
-      // Random initial contents (load_initial bypasses ROM protection).
-      pair.load_initial(range.begin, rng.bytes(range.size()));
+      // Random initial contents over a random prefix of the region
+      // (load_initial bypasses ROM protection), so later writes land
+      // past a page's backed prefix as well as inside it.
+      pair.load_initial(range.begin, rng.bytes(rng.next(range.size() + 1)));
       ranges.push_back(range);
       cursor = range.end;
     }
@@ -417,11 +422,14 @@ TEST(BulkDifferentialFuzz, RandomLayoutsRulesAndOps) {
     pair.set_controller(&mpu);
 
     // Random operations: interesting base addresses are region edges and
-    // rule boundaries, jittered.
+    // page boundaries (so writes hit page tails), jittered.
     std::vector<Addr> anchors;
     for (const auto& r : ranges) {
       anchors.push_back(r.begin);
       anchors.push_back(r.end);
+      for (Addr a = r.begin + 0x1000; a < r.end; a += 0x1000) {
+        anchors.push_back(a);
+      }
     }
     const AccessContext contexts[] = {kAnchorPc, kAppPc,
                                       AccessContext{kHardwarePc}};

@@ -85,7 +85,7 @@ TEST(BusCow, EraseDropsAliasAndRetouchMaterializesFresh) {
   ASSERT_EQ(bus.read8(kHw, 0x0800'2000, v), BusStatus::kOk);
   EXPECT_EQ(v, 0xff);
   ASSERT_EQ(bus.write8(kHw, 0x0800'2000, 0x5a), BusStatus::kOk);
-  EXPECT_EQ(bus.resident_bytes(), 4096u);
+  EXPECT_EQ(bus.resident_bytes(), 64u);  // one line, not the old alias
   EXPECT_EQ(bus.shared_resident_bytes(), 0u);
 }
 
@@ -102,8 +102,8 @@ TEST(BusCow, InstallRejectsBadTargets) {
   // only, it must never silently replace materialized state.
   ASSERT_EQ(bus.write8(kHw, 0x2000'0000, 0x01), BusStatus::kOk);
   EXPECT_FALSE(bus.load_initial_shared(0x2000'0000, page));
-  // All refusals left accounting untouched beyond that one RAM page.
-  EXPECT_EQ(bus.resident_bytes(), 4096u);
+  // All refusals left accounting untouched beyond that one RAM line.
+  EXPECT_EQ(bus.resident_bytes(), 64u);
   EXPECT_EQ(bus.shared_resident_bytes(), 0u);
 }
 
@@ -116,7 +116,7 @@ TEST(BusCow, PageTableBytesReportedSeparatelyFromPages) {
   const std::size_t before = bus.page_table_bytes();
   ASSERT_EQ(bus.write8(kHw, 0x2000'0000, 0xab), BusStatus::kOk);
   EXPECT_GE(bus.page_table_bytes(), before);
-  EXPECT_EQ(bus.resident_bytes(), 4096u);
+  EXPECT_EQ(bus.resident_bytes(), 64u);
 }
 
 TEST(BusCow, SharedReadPathMatchesExclusivePath) {
