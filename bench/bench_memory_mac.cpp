@@ -72,7 +72,7 @@ void print_device_model_sweep() {
 
 // --- Simulated-prover section: the measurement loop as Code_Attest runs
 // it, i.e. every byte fetched through MemoryBus + EA-MPU. Compares the
-// window-coalesced bulk path against the per-byte reference path
+// window-coalesced read_block against a per-byte read8 loop
 // (docs/PERFORMANCE.md); both stream the MAC in 4 KB chunks, so the
 // delta isolates the bus. ---
 
@@ -90,7 +90,9 @@ struct SimResult {
 // One full measurement pass: streaming HMAC-SHA1 over challenge ||
 // freshness || `range`, read through the bus in 4 KB chunks from the
 // trust anchor's PC. `mac == nullptr` times the bus transfer alone.
-void measurement_pass(hw::Mcu& mcu, crypto::Mac* mac,
+// `bulk` reads each chunk with one read_block; otherwise a read8 loop
+// fills it — the per-byte reference the speedup is measured against.
+void measurement_pass(hw::Mcu& mcu, bool bulk, crypto::Mac* mac,
                       const hw::AddrRange& range, Bytes& scratch) {
   const hw::AccessContext ctx{0x00000000};  // Code_Attest's region
   if (mac != nullptr) {
@@ -100,9 +102,18 @@ void measurement_pass(hw::Mcu& mcu, crypto::Mac* mac,
   }
   for (std::size_t off = 0; off < range.size();) {
     const std::size_t n = std::min<std::size_t>(4096, range.size() - off);
-    if (mcu.bus().read_block(ctx, range.begin + static_cast<hw::Addr>(off),
-                             std::span<std::uint8_t>(scratch.data(), n)) !=
-        hw::BusStatus::kOk) {
+    const hw::Addr chunk = range.begin + static_cast<hw::Addr>(off);
+    hw::BusStatus status = hw::BusStatus::kOk;
+    if (bulk) {
+      status = mcu.bus().read_block(
+          ctx, chunk, std::span<std::uint8_t>(scratch.data(), n));
+    } else {
+      for (std::size_t i = 0; i < n && status == hw::BusStatus::kOk; ++i) {
+        status = mcu.bus().read8(ctx, chunk + static_cast<hw::Addr>(i),
+                                 scratch[i]);
+      }
+    }
+    if (status != hw::BusStatus::kOk) {
       std::fprintf(stderr, "measurement pass faulted\n");
       std::exit(1);
     }
@@ -144,11 +155,10 @@ SimResult run_sim_section() {
   Bytes scratch(4096);
 
   const auto time_passes = [&](bool bulk, crypto::Mac* m, int passes) {
-    mcu.bus().set_bulk_enabled(bulk);
-    measurement_pass(mcu, m, measured, scratch);  // warm-up
+    measurement_pass(mcu, bulk, m, measured, scratch);  // warm-up
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < passes; ++i) {
-      measurement_pass(mcu, m, measured, scratch);
+      measurement_pass(mcu, bulk, m, measured, scratch);
     }
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)

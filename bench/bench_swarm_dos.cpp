@@ -27,9 +27,7 @@
 //   --fleet         periodic-attestation throughput bench on the timing
 //                   wheel + lazy-materialization stack (no adversary):
 //                   every device attests every --period=MS over
-//                   --horizon=MS. --heap swaps in the reference binary
-//                   heap and --eager the legacy up-front schedule, so CI
-//                   can byte-compare the stdout/trace of both stacks.
+//                   --horizon=MS.
 //                   --check-against=BENCH_fleet.json re-runs the pinned
 //                   configuration and fails on any deterministic-field
 //                   mismatch, a >60% requests/s regression, or a
@@ -174,19 +172,15 @@ struct FleetScaleOptions {
   std::string trace_path;
   std::string link;  // faulty-link profile; enables reliable rounds
   std::string json_path;  // machine-readable summary (incl. wall-clock)
-  bool slow_bus = false;  // per-byte reference bus path (CI byte-compare)
   // --fleet mode (periodic attestation, no adversary):
   bool fleet = false;
   std::size_t measured = 64;   // bytes measured per round
   double period_ms = 125.0;    // attestation period
   double horizon_ms = 1000.0;  // simulated horizon
-  bool heap = false;           // reference binary heap instead of the wheel
-  bool eager = false;          // legacy eager schedule instead of lazy
   bool no_share = false;       // per-device boot images (no template)
   bool no_trace = false;       // registry-only observability (1M smoke)
   bool incremental = false;    // incremental paged attestation rounds
   bool no_batch = false;       // scalar verifier MACs (byte-compare ref)
-  bool no_soa = false;         // per-object heap components (byte-compare)
   std::string check_path;      // --check-against=BENCH_fleet.json
   // Perf floor as a multiple of the baseline's requests/s. The default
   // 0.4 is the anti-flake regression floor for same-generation
@@ -202,7 +196,6 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
   config.prover.authenticate_requests = true;
   config.prover.measured_bytes = 16 * 1024;
   config.attest_period_ms = 250.0;
-  config.prover.bulk_bus = !opt.slow_bus;
   config.prover.enable_incremental = opt.incremental;
   config.stagger_ms = 0.5;  // keep every device active inside the horizon
   config.shard_count =
@@ -345,7 +338,6 @@ int run_fleet_scale(const FleetScaleOptions& opt) {
          << "  \"devices\": " << opt.devices << ",\n"
          << "  \"shards\": " << swarm.shard_count() << ",\n"
          << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"bulk_bus\": " << (opt.slow_bus ? "false" : "true") << ",\n"
          << "  \"genuine_valid\": " << report.total_valid() << ",\n"
          << "  \"genuine_sent\": " << report.total_sent() << ",\n"
          << "  \"replays_rejected\": "
@@ -510,11 +502,8 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   config.prover.enable_incremental = opt.incremental;
   config.shard_count =
       opt.shards != 0 ? opt.shards : std::min<std::size_t>(opt.devices, 16);
-  config.use_wheel = !opt.heap;
-  config.eager_schedule = opt.eager;
   config.share_app_image = !opt.no_share;
   config.mac_batch = !opt.no_batch;
-  config.soa_blocks = !opt.no_soa;
 
   sim::Swarm swarm(config, crypto::from_string("fleet-bench-seed"));
   obs::Registry registry;
@@ -566,12 +555,10 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
   }
 
   // Deterministic surface (byte-identical for the same seed at any
-  // --threads, and across --heap/--eager): wall clock goes to stderr.
+  // --threads): wall clock goes to stderr.
   std::printf("=== fleet periodic attestation ===\n");
   std::printf("devices:          %zu\n", opt.devices);
   std::printf("shards:           %zu\n", swarm.shard_count());
-  std::printf("scheduler:        %s%s\n", opt.heap ? "heap" : "wheel",
-              opt.eager ? " (eager)" : " (lazy)");
   std::printf("shared image:     %s\n", opt.no_share ? "no" : "yes");
   std::printf("incremental:      %s\n", opt.incremental ? "yes" : "no");
   std::printf("measured bytes:   %zu\n", opt.measured);
@@ -630,12 +617,9 @@ int run_fleet_periodic(const FleetScaleOptions& opt) {
          << "  \"devices\": " << opt.devices << ",\n"
          << "  \"shards\": " << swarm.shard_count() << ",\n"
          << "  \"threads\": " << opt.threads << ",\n"
-         << "  \"scheduler\": \"" << (opt.heap ? "heap" : "wheel") << "\",\n"
-         << "  \"eager\": " << (opt.eager ? "true" : "false") << ",\n"
          << "  \"share_image\": " << (opt.no_share ? "false" : "true")
          << ",\n"
          << "  \"mac_batch\": " << (opt.no_batch ? "false" : "true") << ",\n"
-         << "  \"soa_blocks\": " << (opt.no_soa ? "false" : "true") << ",\n"
          << "  \"resident_bytes_per_device\": " << resident.per_device_bytes()
          << ",\n"
          << "  \"peak_rss_kb\": " << rss_kb << ",\n"
@@ -694,14 +678,6 @@ int main(int argc, char** argv) {
       opt.incremental = true;
       continue;
     }
-    if (std::strcmp(arg, "--heap") == 0) {
-      opt.heap = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--eager") == 0) {
-      opt.eager = true;
-      continue;
-    }
     if (std::strcmp(arg, "--no-share-image") == 0) {
       opt.no_share = true;
       continue;
@@ -712,10 +688,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--no-batch") == 0) {
       opt.no_batch = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--no-soa") == 0) {
-      opt.no_soa = true;
       continue;
     }
     if (std::strncmp(arg, "--check-against=", 16) == 0) {
@@ -734,10 +706,6 @@ int main(int argc, char** argv) {
       opt.json_path = arg + 7;
       continue;
     }
-    if (std::strcmp(arg, "--slow-bus") == 0) {
-      opt.slow_bus = true;
-      continue;
-    }
     if (std::strncmp(arg, "--link=", 7) == 0) {
       opt.link = arg + 7;
       continue;
@@ -748,11 +716,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "usage: %s [--devices=N] [--threads=N] [--shards=N] "
-                 "[--trace=path] [--json=path] [--slow-bus] [--incremental] "
+                 "[--trace=path] [--json=path] [--incremental] "
                  "[--link=clean|lossy10|bursty|hostile] | "
                  "--fleet [--measured=N] [--period=MS] [--horizon=MS] "
-                 "[--heap] [--eager] [--no-share-image] [--no-trace] "
-                 "[--no-batch] [--no-soa] "
+                 "[--no-share-image] [--no-trace] [--no-batch] "
                  "[--check-against=BENCH_fleet.json] [--min-speedup=X]\n",
                  argv[0]);
     return 2;

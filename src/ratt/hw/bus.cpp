@@ -58,8 +58,8 @@ std::uint8_t* MemoryBus::Region::touch_page(std::size_t p, std::size_t end) {
   const bool grow = end > page.backed;
   if (grow || page.owner.use_count() > 1) {
     // A power-of-two number of lines, so the backing is a function of the
-    // highest byte written alone (the per-byte reference path and the
-    // bulk path end up with the same allocation).
+    // highest byte written alone (write8 loops and write_block end up
+    // with the same allocation).
     const std::size_t len =
         grow ? std::min(page_len(p),
                         std::max(kLineSize, std::bit_ceil(end)))
@@ -302,24 +302,6 @@ BusStatus MemoryBus::write64(const AccessContext& ctx, Addr addr,
   return write_block(ctx, addr, bytes);
 }
 
-BusStatus MemoryBus::read_block_bytewise(const AccessContext& ctx, Addr addr,
-                                         std::span<std::uint8_t> out) {
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const BusStatus s = read8(ctx, addr + static_cast<Addr>(i), out[i]);
-    if (s != BusStatus::kOk) return s;
-  }
-  return BusStatus::kOk;
-}
-
-BusStatus MemoryBus::write_block_bytewise(const AccessContext& ctx,
-                                          Addr addr, ByteView data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const BusStatus s = write8(ctx, addr + static_cast<Addr>(i), data[i]);
-    if (s != BusStatus::kOk) return s;
-  }
-  return BusStatus::kOk;
-}
-
 Addr MemoryBus::admitted_window_end(const AccessContext& ctx,
                                     AccessType type, Addr addr,
                                     Addr limit) const {
@@ -328,16 +310,15 @@ Addr MemoryBus::admitted_window_end(const AccessContext& ctx,
   return w.allowed ? w.end : 0;
 }
 
-// The bulk fast path walks the request as a sequence of maximal windows:
+// Block transfers walk the request as a sequence of maximal windows:
 // each window lies in one region and carries one access-control verdict,
 // so the per-byte region find + EA-MPU rule scan collapses to one lookup
-// per window and storage bytes move by memcpy. Semantics are identical
-// to the per-byte reference path: the transfer stops at the first
-// failing byte, exactly one fault is logged for it (with its address),
-// and earlier bytes stay transferred.
+// per window and storage bytes move by memcpy. Semantics are those of a
+// loop of read8/write8 calls: the transfer stops at the first failing
+// byte, exactly one fault is logged for it (with its address), and
+// earlier bytes stay transferred.
 BusStatus MemoryBus::read_block(const AccessContext& ctx, Addr addr,
                                 std::span<std::uint8_t> out) {
-  if (!bulk_enabled_) return read_block_bytewise(ctx, addr, out);
   std::size_t done = 0;
   while (done < out.size()) {
     const Addr a = addr + static_cast<Addr>(done);
@@ -383,7 +364,6 @@ BusStatus MemoryBus::read_block(const AccessContext& ctx, Addr addr,
 
 BusStatus MemoryBus::write_block(const AccessContext& ctx, Addr addr,
                                  ByteView data) {
-  if (!bulk_enabled_) return write_block_bytewise(ctx, addr, data);
   std::size_t done = 0;
   while (done < data.size()) {
     const Addr a = addr + static_cast<Addr>(done);
@@ -460,25 +440,16 @@ BusStatus MemoryBus::erase_flash_block(const AccessContext& ctx,
     block_end = std::min(block_begin + kFlashBlockSize,
                          region->info.range.end);
     if (controller_ != nullptr && ctx.pc != kHardwarePc) {
-      if (bulk_enabled_) {
-        // Access control per verdict window: any denied byte lies at the
-        // start of some denied window, so walking window ends finds it.
-        for (Addr a = block_begin; a < block_end;) {
-          const AccessWindow w = controller_->allows_window(
-              ctx, AccessType::kWrite, a, block_end);
-          if (!w.allowed) {
-            status = BusStatus::kDenied;
-            break;
-          }
-          a = w.end;
+      // Access control per verdict window: any denied byte lies at the
+      // start of some denied window, so walking window ends finds it.
+      for (Addr a = block_begin; a < block_end;) {
+        const AccessWindow w = controller_->allows_window(
+            ctx, AccessType::kWrite, a, block_end);
+        if (!w.allowed) {
+          status = BusStatus::kDenied;
+          break;
         }
-      } else {
-        for (Addr a = block_begin; a < block_end; ++a) {
-          if (!controller_->allows(ctx, AccessType::kWrite, a)) {
-            status = BusStatus::kDenied;
-            break;
-          }
-        }
+        a = w.end;
       }
     }
   }

@@ -121,15 +121,6 @@ class MemoryBus {
     controller_ = controller;
   }
 
-  /// Bulk transfers normally run the window-coalesced fast path: the
-  /// (region, EA-MPU verdict) pair is resolved once per maximal window
-  /// and storage-backed bytes move by memcpy. `false` selects the
-  /// per-byte reference path — same statuses, same storage mutations,
-  /// same fault log, byte for byte — kept for differential testing and
-  /// the CI perf-smoke trace comparison.
-  void set_bulk_enabled(bool enabled) { bulk_enabled_ = enabled; }
-  bool bulk_enabled() const { return bulk_enabled_; }
-
   // -- Byte and word accessors. Word accessors are little-endian and fail
   //    atomically: on any non-Ok status no bytes are transferred.
   BusStatus read8(const AccessContext& ctx, Addr addr, std::uint8_t& out);
@@ -141,6 +132,10 @@ class MemoryBus {
 
   /// Bulk read of `out.size()` bytes starting at `addr`. Stops at the first
   /// failing byte and reports its status; `out` is only valid on kOk.
+  /// Block transfers are window-coalesced: the (region, EA-MPU verdict)
+  /// pair is resolved once per maximal window and storage bytes move by
+  /// memcpy, with the same statuses, storage mutations and fault log as
+  /// a loop of read8/write8 calls (tests/hw/bus_bulk_test.cpp).
   BusStatus read_block(const AccessContext& ctx, Addr addr,
                        std::span<std::uint8_t> out);
 
@@ -354,10 +349,6 @@ class MemoryBus {
                     std::uint8_t* read_out, std::uint8_t write_value);
   void record_fault(const AccessContext& ctx, Addr addr, AccessType type,
                     BusStatus status);
-  BusStatus read_block_bytewise(const AccessContext& ctx, Addr addr,
-                                std::span<std::uint8_t> out);
-  BusStatus write_block_bytewise(const AccessContext& ctx, Addr addr,
-                                 ByteView data);
   /// Resolves access control for [addr, limit): either the full span is
   /// admitted (hardware PC / no controller), or the controller's window
   /// verdict applies. Returns the allowed window end, or 0 on denial.
@@ -369,7 +360,6 @@ class MemoryBus {
 
   std::vector<std::unique_ptr<Region>> regions_;
   const AccessController* controller_ = nullptr;
-  bool bulk_enabled_ = true;
   std::vector<BusFault> fault_ring_;
   std::size_t fault_capacity_ = kDefaultFaultCapacity;
   std::size_t fault_next_ = 0;  // ring write position once full

@@ -25,20 +25,14 @@ void EventQueue::schedule_at(double at_ms, Action action) {
   if (!std::isfinite(at_ms)) {
     // NaN compares false against now_ms_ below AND against every other
     // event time, so it would both bypass the past-check and break the
-    // strict weak ordering of the heaps. Infinities order but never run.
+    // strict weak ordering of the wheel's heaps. Infinities order but never run.
     throw std::invalid_argument("EventQueue: non-finite event time");
   }
   if (at_ms < now_ms_) {
     throw std::invalid_argument("EventQueue: scheduling into the past");
   }
-  Event ev{at_ms, next_seq_++, now_ms_, std::move(action)};
-  if (wheel_enabled_) {
-    wheel_place(std::move(ev));
-    ++wheel_size_;
-  } else {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
+  wheel_place(Event{at_ms, next_seq_++, now_ms_, std::move(action)});
+  ++wheel_size_;
   if (obs_backlog_ != nullptr) {
     obs_backlog_->set(static_cast<double>(pending()));
   }
@@ -46,16 +40,6 @@ void EventQueue::schedule_at(double at_ms, Action action) {
 
 void EventQueue::schedule_in(double delay_ms, Action action) {
   schedule_at(now_ms_ + delay_ms, std::move(action));
-}
-
-void EventQueue::set_wheel_enabled(bool enabled) {
-  if (enabled == wheel_enabled_) return;
-  if (!empty()) {
-    throw std::logic_error(
-        "EventQueue::set_wheel_enabled: queue must be empty to switch "
-        "scheduling structures");
-  }
-  wheel_enabled_ = enabled;
 }
 
 std::uint64_t EventQueue::tick_of(double at_ms) {
@@ -187,7 +171,6 @@ bool EventQueue::wheel_pop(Event& out) {
 }
 
 double EventQueue::next_time() {
-  if (!wheel_enabled_) return heap_.front().at_ms;
   // May load a tick into current_; harmless — later insertions with a
   // tick at or behind the cursor route to current_ and still sort in
   // exact (at_ms, seq) order, and now_ms_ is untouched here.
@@ -197,17 +180,7 @@ double EventQueue::next_time() {
 
 bool EventQueue::run_next() {
   Event ev;
-  if (wheel_enabled_) {
-    if (!wheel_pop(ev)) return false;
-  } else {
-    if (heap_.empty()) return false;
-    // pop_heap moves the earliest event to the back; move it out — the
-    // std::function changes hands without a copy (and without the
-    // per-event allocation the old priority_queue::top() copy paid).
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    ev = std::move(heap_.back());
-    heap_.pop_back();
-  }
+  if (!wheel_pop(ev)) return false;
   // Commit queue state before invoking the action: if it throws, the
   // event is consumed, now_ms has advanced and the instruments agree
   // with the pending set — the caller can keep running the queue.

@@ -6,22 +6,18 @@
 // so no locking lives here — only the observability instruments the
 // queues share are thread-safe (see obs/metrics.hpp).
 //
-// Two interchangeable scheduling structures live behind the same API:
+// Events live in a hierarchical timing wheel — 4 levels x 64 slots at a
+// 1 ms tick. Insertion is O(1); popping amortizes to O(1) because a
+// level-k slot redistributes at most once per event per level. Events
+// landing beyond the wheel span (~2^24 ticks) go to a small overflow
+// heap, and events inside the current tick go straight to a "current"
+// mini-heap that preserves exact (at_ms, seq) order. This is what lets
+// a fleet-scale Swarm keep O(devices) pending events cheap.
 //
-//  * A hierarchical timing wheel (default) — 4 levels x 64 slots at a
-//    1 ms tick. Insertion is O(1); popping amortizes to O(1) because a
-//    level-k slot redistributes at most once per event per level. Events
-//    landing beyond the wheel span (~2^24 ticks) go to a small overflow
-//    heap, and events inside the current tick go straight to a "current"
-//    mini-heap that preserves exact (at_ms, seq) order. This is what
-//    lets a fleet-scale Swarm keep O(devices) pending events cheap.
-//  * The legacy binary heap (set_wheel_enabled(false)) — retained as the
-//    reference implementation for differential testing.
-//
-// Execution order is identical on both structures: globally sorted by
-// (at_ms, seq), FIFO among same-time events. Same seed => byte-identical
-// traces on wheel and heap; the differential suite in
-// tests/sim/event_wheel_test.cpp enforces it.
+// Execution order is globally sorted by (at_ms, seq), FIFO among
+// same-time events. tests/sim/event_wheel_test.cpp checks it in
+// lockstep against a plain binary-heap reference queue
+// (tests/sim/reference_queue.hpp).
 #pragma once
 
 #include <array>
@@ -50,23 +46,14 @@ class EventQueue {
   /// times (NaN, ±inf) are rejected with std::invalid_argument: NaN
   /// compares false against every bound, so it would slip past the
   /// past-scheduling check and then corrupt the strict weak ordering
-  /// both the heap and the wheel's mini-heaps rely on.
+  /// the wheel's mini-heaps rely on.
   void schedule_at(double at_ms, Action action);
 
   /// Schedule `action` `delay_ms` from now.
   void schedule_in(double delay_ms, Action action);
 
-  /// Switch between the timing wheel (default, true) and the reference
-  /// binary heap. Only allowed while the queue is empty — the two
-  /// structures cannot exchange pending events; throws std::logic_error
-  /// otherwise.
-  void set_wheel_enabled(bool enabled);
-  bool wheel_enabled() const { return wheel_enabled_; }
-
   bool empty() const { return pending() == 0; }
-  std::size_t pending() const {
-    return wheel_enabled_ ? wheel_size_ : heap_.size();
-  }
+  std::size_t pending() const { return wheel_size_; }
 
   /// Pop and run the earliest event; returns false when none remain.
   /// The action is moved out of the queue (no copy, no extra allocation
@@ -134,22 +121,11 @@ class EventQueue {
   void wheel_load_current();
   bool wheel_pop(Event& out);
 
-  /// Earliest pending event time. Pre: !empty(). Non-const on the wheel
-  /// path (it may load a tick into current_), but observable behavior is
-  /// unchanged: now_ms_ only advances in run_next()/run_until().
+  /// Earliest pending event time. Pre: !empty(). Non-const (it may load
+  /// a tick into current_), but observable behavior is unchanged:
+  /// now_ms_ only advances in run_next()/run_until().
   double next_time();
 
-  void schedule_event(Event&& ev);
-
-  // Binary heap over a plain vector (std::push_heap / std::pop_heap)
-  // instead of std::priority_queue: priority_queue::top() is const&, so
-  // popping an event forced a copy of its std::function (a heap
-  // allocation per event on the hot path). pop_heap moves the earliest
-  // event to the back, where it can be moved out. Used as the reference
-  // structure when the wheel is disabled.
-  std::vector<Event> heap_;
-
-  bool wheel_enabled_ = true;
   // Slot array, level-major: slots_[level * 64 + index].
   std::vector<Slot> slots_ = std::vector<Slot>(kLevels * kSlotsPerLevel);
   // Per-level occupancy bitmaps: bit i set <=> slots_[level*64+i] holds
@@ -159,7 +135,7 @@ class EventQueue {
   // via a mini-heap — sub-tick ordering the wheel's 1 ms buckets cannot
   // provide on their own.
   std::vector<Event> current_;
-  // Events beyond the wheel span (min-heap by Later, like heap_).
+  // Events beyond the wheel span (min-heap by Later).
   std::vector<Event> overflow_;
   std::uint64_t cursor_ = 0;
   std::size_t wheel_size_ = 0;

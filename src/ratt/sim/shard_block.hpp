@@ -1,29 +1,20 @@
 // Structure-of-arrays shard blocks: per-shard component slabs for the
 // materialized fleet.
 //
-// The legacy layout gave every device its own heap objects — one malloc
-// per prover, per verifier, and an arena Device struct fat enough to
-// hold the channel/session inline. At fleet scale that is one allocator
-// round-trip per component per device, and the components of one device
-// land wherever the allocator happens to put them. The SoA layout
-// instead gives each shard one ShardBlock arena with a slab per
-// component *type*: all of a shard's provers sit contiguously in
-// chunked blocks, all its verifiers in another, and so on — the
-// structure-of-arrays transposition of the old array-of-structures
-// arena. Slabs grow in fixed chunks and never move a constructed
-// element, so component addresses stay stable while the shard
-// materializes devices mid-drain (the same stability contract the old
-// std::deque arena gave).
+// Each shard owns one ShardBlock with a slab per component *type*: all
+// of a shard's provers sit contiguously in chunked blocks, all its
+// verifiers in another, and so on. Materializing a device costs no
+// allocator round-trip per component (one chunk serves a whole block of
+// devices), and a shard's hot session state stays shard-local. Slabs
+// grow in fixed chunks and never move a constructed element, so
+// component addresses stay stable while the shard materializes devices
+// mid-drain.
 //
 // Construction order (prover, verifier, channel, session — per device)
 // and destruction order (sessions, channels, verifiers, provers — slab
 // by slab, each in reverse construction order) bracket the reference
 // lifetimes: a session only ever outlives none of the components it
-// references. DeviceArena wraps a ShardBlock next to the legacy
-// one-heap-object-per-component layout behind one interface, so
-// SwarmConfig::soa_blocks toggles purely the storage plan — behavior,
-// reports and traces are byte-identical either way (the SoA-vs-heap
-// differential suite pins this).
+// references.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +60,7 @@ class ComponentSlab {
 
   std::size_t size() const { return count_; }
 
-  /// Heap bytes the slab's chunks occupy (the SoA side of the
+  /// Heap bytes the slab's chunks occupy (the component side of the
   /// resident-bytes report).
   std::size_t slab_bytes() const { return chunks_.size() * sizeof(Chunk); }
 
@@ -111,7 +102,8 @@ class ShardBlock {
 
   std::size_t devices() const { return sessions_.size(); }
 
-  /// Chunk bytes across all four slabs.
+  /// Chunk bytes across all four slabs. Component-internal heap (bus
+  /// pages, MAC state) is counted by the components themselves.
   std::size_t slab_bytes() const {
     return provers_.slab_bytes() + verifiers_.slab_bytes() +
            channels_.slab_bytes() + sessions_.slab_bytes();
@@ -122,68 +114,6 @@ class ShardBlock {
   ComponentSlab<attest::Verifier> verifiers_;
   ComponentSlab<Channel> channels_;
   ComponentSlab<AttestationSession> sessions_;
-};
-
-/// Storage-plan switch: the SoA ShardBlock or the legacy one heap
-/// object per component, behind one make_* interface. Heap mode keeps
-/// the per-component unique_ptr lists in the same declaration order as
-/// the slabs, so destruction order is identical across the toggle.
-class DeviceArena {
- public:
-  explicit DeviceArena(bool soa) : soa_(soa) {}
-
-  template <class... Args>
-  attest::ProverDevice* make_prover(Args&&... args) {
-    if (soa_) return block_.make_prover(std::forward<Args>(args)...);
-    heap_provers_.push_back(std::make_unique<attest::ProverDevice>(
-        std::forward<Args>(args)...));
-    return heap_provers_.back().get();
-  }
-  template <class... Args>
-  attest::Verifier* make_verifier(Args&&... args) {
-    if (soa_) return block_.make_verifier(std::forward<Args>(args)...);
-    heap_verifiers_.push_back(std::make_unique<attest::Verifier>(
-        std::forward<Args>(args)...));
-    return heap_verifiers_.back().get();
-  }
-  template <class... Args>
-  Channel* make_channel(Args&&... args) {
-    if (soa_) return block_.make_channel(std::forward<Args>(args)...);
-    heap_channels_.push_back(
-        std::make_unique<Channel>(std::forward<Args>(args)...));
-    return heap_channels_.back().get();
-  }
-  template <class... Args>
-  AttestationSession* make_session(Args&&... args) {
-    if (soa_) return block_.make_session(std::forward<Args>(args)...);
-    heap_sessions_.push_back(std::make_unique<AttestationSession>(
-        std::forward<Args>(args)...));
-    return heap_sessions_.back().get();
-  }
-
-  bool soa() const { return soa_; }
-  std::size_t devices() const {
-    return soa_ ? block_.devices() : heap_sessions_.size();
-  }
-
-  /// Arena heap bytes: slab chunks in SoA mode, per-object allocations
-  /// (by sizeof) in heap mode. Component-internal heap (bus pages, MAC
-  /// state) is counted by the components themselves, not here.
-  std::size_t arena_bytes() const {
-    if (soa_) return block_.slab_bytes();
-    return heap_provers_.size() * sizeof(attest::ProverDevice) +
-           heap_verifiers_.size() * sizeof(attest::Verifier) +
-           heap_channels_.size() * sizeof(Channel) +
-           heap_sessions_.size() * sizeof(AttestationSession);
-  }
-
- private:
-  bool soa_;
-  ShardBlock block_;
-  std::vector<std::unique_ptr<attest::ProverDevice>> heap_provers_;
-  std::vector<std::unique_ptr<attest::Verifier>> heap_verifiers_;
-  std::vector<std::unique_ptr<Channel>> heap_channels_;
-  std::vector<std::unique_ptr<AttestationSession>> heap_sessions_;
 };
 
 }  // namespace ratt::sim

@@ -50,11 +50,10 @@ Swarm::Swarm(const SwarmConfig& config, crypto::ByteView fleet_seed)
   const std::size_t rem = n == 0 ? 0 : n % shard_count;
   std::size_t next_device = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(config.soa_blocks);
+    auto shard = std::make_unique<Shard>();
     shard->begin = next_device;
     next_device += base + (s < rem ? 1 : 0);
     shard->end = next_device;
-    shard->queue.set_wheel_enabled(config.use_wheel);
     shards_.push_back(std::move(shard));
   }
 
@@ -125,7 +124,11 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   if (devices_[i] != nullptr) return *devices_[i];
   const std::size_t shard_idx = shard_of(i);
   Shard& shard = *shards_[shard_idx];
-  Device& d = shard.arena.emplace_back();
+  // The record is built on the side and appended only once every
+  // component exists: a throwing constructor (e.g. a scheme the clock
+  // cannot serve) must leave no half-built device behind for
+  // materialized_count() or resident() to trip over.
+  Device d;
   d.index = i;
   d.shard = shard_idx;
   const std::uint8_t* seeds = seeds_.data() + i * seed_stride();
@@ -176,9 +179,10 @@ Swarm::Device& Swarm::materialize(std::size_t i) {
   if (config_.prover.enable_incremental) {
     d.session->set_incremental(true);
   }
-  apply_observer(d);
-  devices_[i] = &d;
-  return d;
+  Device& placed = shard.arena.emplace_back(std::move(d));
+  apply_observer(placed);
+  devices_[i] = &placed;
+  return placed;
 }
 
 std::size_t Swarm::materialized_count() const {
@@ -351,22 +355,7 @@ void Swarm::arm_round(std::size_t i, std::uint64_t k) {
 void Swarm::schedule(double horizon_ms) {
   scheduled_horizon_ms_ = std::max(scheduled_horizon_ms_, horizon_ms);
   if (config_.attest_period_ms <= 0.0) return;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (config_.eager_schedule) {
-      // Legacy reference path: every round of every device up front.
-      AttestationSession* session = materialize(i).session;
-      EventQueue& shard_queue = shards_[shard_of(i)]->queue;
-      const double offset = stagger_offset(i);
-      for (std::uint64_t k = 1;; ++k) {
-        const double t =
-            offset + static_cast<double>(k) * config_.attest_period_ms;
-        if (t > horizon_ms) break;
-        shard_queue.schedule_at(t, [session] { session->send_request(); });
-      }
-    } else {
-      arm_round(i, 1);
-    }
-  }
+  for (std::size_t i = 0; i < devices_.size(); ++i) arm_round(i, 1);
 }
 
 void Swarm::run_until(double until_ms) {
@@ -474,7 +463,7 @@ Swarm::ResidentReport Swarm::resident() const {
   ResidentReport r;
   for (const auto& shard : shards_) {
     r.devices += shard->arena.size();
-    r.arena_bytes += shard->components.arena_bytes();
+    r.arena_bytes += shard->components.slab_bytes();
     for (const Device& d : shard->arena) {
       const hw::MemoryBus& bus = d.prover->mcu().bus();
       // Pages aliased from the fleet template are physically one copy;

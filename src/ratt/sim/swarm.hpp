@@ -25,15 +25,15 @@
 //     self-rescheduling event per device; each firing computes its round
 //     time multiplicatively as offset + k * period (drift-free) and
 //     re-arms round k+1 — pending events stay O(devices), not
-//     O(devices x horizon/period). The eager legacy path is retained
-//     behind SwarmConfig::eager_schedule for differential testing.
+//     O(devices x horizon/period).
 //   * Lazy device materialization: construction pre-draws every
 //     per-device seed from the fleet DRBG in global device order (so
 //     keys are bit-identical to the eager layout and independent of
 //     which devices ever wake), but the ProverDevice/Verifier/Channel/
-//     Session quad is built only when a device is first touched — in a
-//     per-shard std::deque arena, so hot session state sits in
-//     shard-local blocks and a mostly-idle fleet pays ~80 B/device.
+//     Session quad is built only when a device is first touched — into
+//     the shard's ShardBlock component slabs (shard_block.hpp), so hot
+//     session state sits in shard-local chunks and a mostly-idle fleet
+//     pays ~80 B/device.
 //   * Shared templates (SwarmConfig::share_app_image): one vendor-signed
 //     boot image + one verifier reference copy for the whole fleet, with
 //     secure boot's signature check and image digest memoized
@@ -89,14 +89,6 @@ struct SwarmConfig {
   /// model and the channel latency (see net::derive_timeout_ms).
   bool reliable = false;
   net::RetryPolicy retry;
-  /// Timing wheel (default) vs the reference binary heap in every shard
-  /// queue — the scheduler differential-testing knob; same seed gives
-  /// byte-identical reports/traces on both.
-  bool use_wheel = true;
-  /// Legacy eager scheduling: plant every round of every device up front
-  /// (O(devices x rounds) pending events, materializes the whole fleet).
-  /// Retained as the reference path for differential tests.
-  bool eager_schedule = false;
   /// Share one application image (and one verifier reference copy)
   /// across the fleet instead of deriving a per-device image from the
   /// app seed. Keys and freshness state stay per-device; the per-device
@@ -110,12 +102,6 @@ struct SwarmConfig {
   /// and traces are byte-identical with the toggle off — it is the
   /// batched-vs-scalar differential-testing knob (bench --no-batch).
   bool mac_batch = true;
-  /// Structure-of-arrays shard blocks: materialize devices into per-shard
-  /// component slabs (sim::ShardBlock) instead of one heap object per
-  /// prover/verifier. Behavior and reports are identical with the toggle
-  /// off — it is the SoA-vs-heap differential-testing knob (bench
-  /// --no-soa).
-  bool soa_blocks = true;
 };
 
 struct SwarmDeviceReport {
@@ -254,10 +240,9 @@ class Swarm {
   SwarmReport run_parallel(double horizon_ms, std::size_t threads);
 
   // Stepped execution — the dashboard/analytics path. schedule() plants
-  // the same periodic rounds run() would (lazily by default — one
-  // self-rescheduling chain per device, capped at the horizon; calling
-  // schedule() again with a larger horizon extends the cap and plants a
-  // second chain, like the eager path planted a second full set),
+  // the same periodic rounds run() would (one self-rescheduling chain
+  // per device, capped at the horizon; calling schedule() again with a
+  // larger horizon extends the cap and plants a second chain),
   // run_until() advances every shard one slice at a time (so a caller
   // can read rollups, quantiles and alerts between slices), and report()
   // snapshots current state.
@@ -271,8 +256,8 @@ class Swarm {
   /// the still-pending backlog across shards (0 after a drained run).
   SwarmReport report(double horizon_ms) const;
 
-  /// Footprint accounting for the materialized fleet: component-arena
-  /// bytes (ShardBlock slabs in SoA mode, per-object heap otherwise),
+  /// Footprint accounting for the materialized fleet: ShardBlock slab
+  /// bytes,
   /// every materialized prover's exclusively-owned backing-store pages
   /// plus paging metadata, and — once, not once per device — the boot
   /// image pages the fleet aliases copy-on-write from the template.
@@ -301,10 +286,9 @@ class Swarm {
     std::size_t index = 0;
     std::size_t shard = 0;
     crypto::Bytes key;
-    // Raw pointers into the owning shard's DeviceArena (ShardBlock
-    // component slabs in SoA mode, one heap object each otherwise —
-    // SwarmConfig::soa_blocks). The arena owns the components and
-    // outlives every Device record; addresses are stable either way.
+    // Raw pointers into the owning shard's ShardBlock slabs. The block
+    // owns the components and outlives every Device record; slab
+    // addresses are stable.
     attest::ProverDevice* prover = nullptr;
     attest::Verifier* verifier = nullptr;
     Channel* channel = nullptr;
@@ -312,7 +296,6 @@ class Swarm {
     std::unique_ptr<net::FaultyLink> link;
   };
   struct Shard {
-    explicit Shard(bool soa) : components(soa) {}
     // Shard-local instruments (attach_sharded_observer with a registry):
     // everything below caches pointers into it, so it is declared first
     // and outlives them. fold_shard_metrics() drains it after every run.
@@ -328,7 +311,7 @@ class Swarm {
     // Per-device component storage — declared before any per-shard sinks
     // so sessions are destroyed (slab by slab, reverse construction
     // order) while the queue they reference is still alive.
-    DeviceArena components;
+    ShardBlock components;
     // One multi-buffer MAC engine per shard (SwarmConfig::mac_batch):
     // every verifier in the shard pipelines its lookahead waves through
     // it. Shards never share one — drains are per-shard threads.
@@ -346,7 +329,7 @@ class Swarm {
   /// Shard owning device i (O(1) from the contiguous block plan).
   std::size_t shard_of(std::size_t i) const;
   /// Build device i (prover, verifier, channel, session, link) in its
-  /// shard's arena, or return it if it already exists. During a parallel
+  /// shard's block, or return it if it already exists. During a parallel
   /// drain this is only ever called from the owning shard's worker.
   Device& materialize(std::size_t i);
   void apply_observer(Device& device);

@@ -1,21 +1,35 @@
 // Lazily-paged bus backing: mapped-but-untouched storage costs nothing,
 // pages materialize on first write (filled with the region's power-up
 // byte) and back only a prefix of whole lines up to the highest byte
-// written, flash erase drops its page, and the paged fast path stays
-// byte-identical to the per-byte reference path across page boundaries
-// and across the backed/unbacked boundary inside a page.
+// written, flash erase drops its page, and block transfers stay
+// byte-identical to the per-byte reference (bus_reference.hpp) across
+// page boundaries and across the backed/unbacked boundary inside a page.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ratt/hw/bus.hpp"
+#include "bus_reference.hpp"
 
 namespace ratt::hw {
 namespace {
 
 constexpr AccessContext kHw{};  // hardware PC — always admitted
+
+// Block transfers on the window-coalesced path (`bulk`) or through the
+// per-byte reference.
+BusStatus write_via(MemoryBus& bus, bool bulk, Addr addr, ByteView data) {
+  return bulk ? bus.write_block(kHw, addr, data)
+              : reference::write_block(bus, kHw, addr, data);
+}
+BusStatus read_via(MemoryBus& bus, bool bulk, Addr addr,
+                   std::span<std::uint8_t> out) {
+  return bulk ? bus.read_block(kHw, addr, out)
+              : reference::read_block(bus, kHw, addr, out);
+}
 
 MemoryBus make_bus() {
   MemoryBus bus;
@@ -102,13 +116,12 @@ TEST(BusPaging, BulkPathMatchesBytewiseAcrossPageBoundaries) {
   int which = 0;
   for (const bool bulk : {true, false}) {
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
     // Pre-program part of the middle page so the AND has set bits to
     // clear.
     ASSERT_EQ(bus.write8(kHw, 0x0800'2000, 0x0f), BusStatus::kOk);
-    ASSERT_EQ(bus.write_block(kHw, start, pattern), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, start, pattern), BusStatus::kOk);
     out[which].resize(pattern.size() + 64);
-    ASSERT_EQ(bus.read_block(kHw, start - 32, out[which]), BusStatus::kOk);
+    ASSERT_EQ(read_via(bus, bulk, start - 32, out[which]), BusStatus::kOk);
     resident[which] = bus.resident_bytes();
     ++which;
   }
@@ -163,8 +176,7 @@ TEST(BusPaging, BulkFillWriteSpanningAbsentPagesStillMarksDirty) {
   const std::vector<std::uint8_t> zeros(4096 + 512, 0x00);
   for (const bool bulk : {true, false}) {
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
-    ASSERT_EQ(bus.write_block(kHw, 0x2000'0e00, zeros), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x2000'0e00, zeros), BusStatus::kOk);
     EXPECT_EQ(bus.resident_bytes(), 0u) << "bulk=" << bulk;
     EXPECT_TRUE(bus.page_dirty(0x2000'0e00)) << "bulk=" << bulk;
     EXPECT_TRUE(bus.page_dirty(0x2000'1000)) << "bulk=" << bulk;
@@ -176,8 +188,7 @@ TEST(BusPaging, WriteStraddlingPageBoundaryDirtiesBothPages) {
   const std::vector<std::uint8_t> data{0x11, 0x22, 0x33, 0x44};
   for (const bool bulk : {true, false}) {
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
-    ASSERT_EQ(bus.write_block(kHw, 0x2000'0ffe, data), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x2000'0ffe, data), BusStatus::kOk);
     EXPECT_TRUE(bus.page_dirty(0x2000'0ffe)) << "bulk=" << bulk;
     EXPECT_TRUE(bus.page_dirty(0x2000'1000)) << "bulk=" << bulk;
     EXPECT_EQ(bus.dirty_page_count(), 2u) << "bulk=" << bulk;
@@ -236,7 +247,6 @@ TEST(BusPaging, ReadsAcrossTheBackedPrefixReturnFill) {
   for (const bool bulk : {true, false}) {
     SCOPED_TRACE(bulk ? "bulk" : "bytewise");
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
     ASSERT_EQ(bus.write8(kHw, 0x2000'0010, 0xab), BusStatus::kOk);
     ASSERT_EQ(bus.write8(kHw, 0x0800'1020, 0x12), BusStatus::kOk);
     ASSERT_EQ(bus.resident_bytes(), 128u);  // one line in each region
@@ -251,12 +261,12 @@ TEST(BusPaging, ReadsAcrossTheBackedPrefixReturnFill) {
     // A block from inside the prefix, across its end and on into the
     // next (absent) page.
     std::vector<std::uint8_t> ram(4096 + 64, 0x55);
-    ASSERT_EQ(bus.read_block(kHw, 0x2000'0000, ram), BusStatus::kOk);
+    ASSERT_EQ(read_via(bus, bulk, 0x2000'0000, ram), BusStatus::kOk);
     for (std::size_t i = 0; i < ram.size(); ++i) {
       ASSERT_EQ(ram[i], i == 0x10 ? 0xab : 0x00) << "i=" << i;
     }
     std::vector<std::uint8_t> flash(200, 0x55);
-    ASSERT_EQ(bus.read_block(kHw, 0x0800'1000, flash), BusStatus::kOk);
+    ASSERT_EQ(read_via(bus, bulk, 0x0800'1000, flash), BusStatus::kOk);
     for (std::size_t i = 0; i < flash.size(); ++i) {
       ASSERT_EQ(flash[i], i == 0x20 ? 0x12 : 0xff) << "i=" << i;
     }
@@ -271,17 +281,16 @@ TEST(BusPaging, WritePastThePrefixGrowsItAndKeepsEarlierBytes) {
   for (const bool bulk : {true, false}) {
     SCOPED_TRACE(bulk ? "bulk" : "bytewise");
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
     const std::vector<std::uint8_t> head{1, 2, 3, 4, 5, 6, 7, 8};
-    ASSERT_EQ(bus.write_block(kHw, 0x2000'0038, head), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x2000'0038, head), BusStatus::kOk);
     EXPECT_EQ(bus.resident_bytes(), 64u);
     // Byte 768 needs 13 lines; the prefix grows to the next power of
     // two, 16 lines.
     const std::vector<std::uint8_t> far{0xa1, 0xa2, 0xa3};
-    ASSERT_EQ(bus.write_block(kHw, 0x2000'02fe, far), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x2000'02fe, far), BusStatus::kOk);
     EXPECT_EQ(bus.resident_bytes(), 1024u);
     std::vector<std::uint8_t> back(0x400);
-    ASSERT_EQ(bus.read_block(kHw, 0x2000'0000, back), BusStatus::kOk);
+    ASSERT_EQ(read_via(bus, bulk, 0x2000'0000, back), BusStatus::kOk);
     for (std::size_t i = 0; i < back.size(); ++i) {
       std::uint8_t want = 0x00;
       if (i >= 0x38 && i < 0x40) want = head[i - 0x38];
@@ -301,17 +310,16 @@ TEST(BusPaging, FlashProgramPastThePrefixAndsAgainstErased) {
   for (const bool bulk : {true, false}) {
     SCOPED_TRACE(bulk ? "bulk" : "bytewise");
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
     const Addr base = 0x0800'3000;
     ASSERT_EQ(bus.write8(kHw, base, 0x0f), BusStatus::kOk);
     ASSERT_EQ(bus.resident_bytes(), 64u);
     // Programming past the prefix: the new lines start erased, so the
     // programmed value lands as is (0xff & v == v).
     const std::vector<std::uint8_t> data{0x5a, 0xff, 0x3c};
-    ASSERT_EQ(bus.write_block(kHw, base + 200, data), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, base + 200, data), BusStatus::kOk);
     EXPECT_EQ(bus.resident_bytes(), 256u);
     std::vector<std::uint8_t> back(3);
-    ASSERT_EQ(bus.read_block(kHw, base + 200, back), BusStatus::kOk);
+    ASSERT_EQ(read_via(bus, bulk, base + 200, back), BusStatus::kOk);
     EXPECT_EQ(back, data);
     // A second program clears bits only.
     ASSERT_EQ(bus.write8(kHw, base + 200, 0x0f), BusStatus::kOk);
@@ -385,22 +393,21 @@ TEST(BusPaging, FillWritePastThePrefixMarksDirtyWithoutGrowing) {
   for (const bool bulk : {true, false}) {
     SCOPED_TRACE(bulk ? "bulk" : "bytewise");
     MemoryBus bus = make_bus();
-    bus.set_bulk_enabled(bulk);
     ASSERT_EQ(bus.write8(kHw, 0x2000'0000, 0xab), BusStatus::kOk);
     ASSERT_EQ(bus.write8(kHw, 0x0800'0000, 0x00), BusStatus::kOk);
     ASSERT_EQ(bus.clear_dirty_page(kHw, 0x2000'0000), BusStatus::kOk);
     ASSERT_EQ(bus.clear_dirty_page(kHw, 0x0800'0000), BusStatus::kOk);
     ASSERT_EQ(bus.resident_bytes(), 128u);
     ASSERT_EQ(bus.write8(kHw, 0x2000'0800, 0x00), BusStatus::kOk);
-    ASSERT_EQ(bus.write_block(kHw, 0x2000'0100, zeros), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x2000'0100, zeros), BusStatus::kOk);
     ASSERT_EQ(bus.write8(kHw, 0x0800'0800, 0xff), BusStatus::kOk);
-    ASSERT_EQ(bus.write_block(kHw, 0x0800'0100, ones), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x0800'0100, ones), BusStatus::kOk);
     EXPECT_EQ(bus.resident_bytes(), 128u);
     EXPECT_TRUE(bus.page_dirty(0x2000'0000));
     EXPECT_TRUE(bus.page_dirty(0x0800'0000));
     // A fill write that starts inside the prefix still stores the
     // part inside it and grows nothing.
-    ASSERT_EQ(bus.write_block(kHw, 0x2000'0000, zeros), BusStatus::kOk);
+    ASSERT_EQ(write_via(bus, bulk, 0x2000'0000, zeros), BusStatus::kOk);
     EXPECT_EQ(bus.resident_bytes(), 128u);
     std::uint8_t b = 0x55;
     ASSERT_EQ(bus.read8(kHw, 0x2000'0000, b), BusStatus::kOk);

@@ -1,7 +1,7 @@
-// EventQueue scheduling-structure differential suite: the hierarchical
-// timing wheel (default) against the reference binary heap. Execution
-// order must be identical — globally sorted by (at_ms, seq), FIFO among
-// same-time events — on both structures, for directed edge cases
+// EventQueue differential suite: the hierarchical timing wheel against
+// the binary-heap ReferenceQueue (tests/sim/reference_queue.hpp).
+// Execution order must be identical — globally sorted by (at_ms, seq),
+// FIFO among same-time events — on both, for directed edge cases
 // (same-tick bursts, far-future overflow, multi-level cascades,
 // insert-after-peek) and for fuzzed self-scheduling workloads.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ratt/sim/event.hpp"
+#include "reference_queue.hpp"
 
 namespace ratt::sim {
 namespace {
@@ -21,15 +22,20 @@ namespace {
 /// One (event id, execution time) entry per run_next, in execution order.
 using Log = std::vector<std::pair<int, double>>;
 
-EventQueue make_queue(bool wheel) {
-  EventQueue q;
-  q.set_wheel_enabled(wheel);
-  return q;
+using reference::ReferenceQueue;
+
+/// Run `body` once on the wheel and once on the reference heap; `body`
+/// takes the queue and a label for failure messages.
+template <typename Body>
+void on_both(Body&& body) {
+  EventQueue wheel;
+  body(wheel, "wheel");
+  ReferenceQueue heap;
+  body(heap, "heap");
 }
 
 TEST(EventWheel, RejectsNonFiniteTimes) {
-  for (const bool wheel : {true, false}) {
-    EventQueue q = make_queue(wheel);
+  on_both([](auto& q, const char* label) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     EXPECT_THROW(q.schedule_at(nan, [] {}), std::invalid_argument);
@@ -41,27 +47,14 @@ TEST(EventWheel, RejectsNonFiniteTimes) {
     int runs = 0;
     q.schedule_at(1.0, [&runs] { ++runs; });
     q.run_all();
-    EXPECT_EQ(runs, 1);
-  }
-}
-
-TEST(EventWheel, SwitchingStructuresRequiresAnEmptyQueue) {
-  EventQueue q;
-  EXPECT_TRUE(q.wheel_enabled());
-  q.schedule_at(5.0, [] {});
-  EXPECT_THROW(q.set_wheel_enabled(false), std::logic_error);
-  q.run_all();
-  q.set_wheel_enabled(false);
-  EXPECT_FALSE(q.wheel_enabled());
-  q.schedule_at(5.0, [] {});
-  EXPECT_THROW(q.set_wheel_enabled(true), std::logic_error);
+    EXPECT_EQ(runs, 1) << label;
+  });
 }
 
 TEST(EventWheel, SameTickEventsRunFifo) {
   // A burst inside one 1 ms tick: the wheel's bucket alone cannot order
   // these — the current mini-heap must fall back to (at_ms, seq).
-  for (const bool wheel : {true, false}) {
-    EventQueue q = make_queue(wheel);
+  on_both([](auto& q, const char* label) {
     Log log;
     q.schedule_at(10.5, [&] { log.emplace_back(2, q.now_ms()); });
     q.schedule_at(10.25, [&] { log.emplace_back(1, q.now_ms()); });
@@ -71,8 +64,8 @@ TEST(EventWheel, SameTickEventsRunFifo) {
     q.run_all();
     const Log expected{{0, 10.0}, {1, 10.25}, {3, 10.25}, {2, 10.5},
                        {4, 10.5}};
-    EXPECT_EQ(log, expected) << (wheel ? "wheel" : "heap");
-  }
+    EXPECT_EQ(log, expected) << label;
+  });
 }
 
 TEST(EventWheel, FarFutureEventsCrossTheOverflowBoundary) {
@@ -81,8 +74,7 @@ TEST(EventWheel, FarFutureEventsCrossTheOverflowBoundary) {
   // events — including one scheduled mid-run once the cursor has moved.
   Log logs[2];
   int which = 0;
-  for (const bool wheel : {true, false}) {
-    EventQueue q = make_queue(wheel);
+  on_both([&](auto& q, const char* label) {
     Log& log = logs[which++];
     q.schedule_at(20.0e6, [&] { log.emplace_back(3, q.now_ms()); });
     q.schedule_at(5.0, [&] {
@@ -99,8 +91,8 @@ TEST(EventWheel, FarFutureEventsCrossTheOverflowBoundary) {
                        {2, 17.0e6},
                        {3, 20.0e6},
                        {4, 30.0e6}};
-    EXPECT_EQ(log, expected) << (wheel ? "wheel" : "heap");
-  }
+    EXPECT_EQ(log, expected) << label;
+  });
   EXPECT_EQ(logs[0], logs[1]);
 }
 
@@ -109,8 +101,7 @@ TEST(EventWheel, CascadeThroughOuterLevels) {
   // L2 (< 64^3), L3 (< 64^4). Outer-level slots must redistribute down
   // the hierarchy as the cursor lands on them, and events placed into an
   // already-passed coordinate (same tick as the cursor) still run.
-  for (const bool wheel : {true, false}) {
-    EventQueue q = make_queue(wheel);
+  on_both([](auto& q, const char* label) {
     Log log;
     const double times[] = {3.0, 70.0, 4100.0, 262200.0, 1.7e7};
     for (int i = 0; i < 5; ++i) {
@@ -128,26 +119,25 @@ TEST(EventWheel, CascadeThroughOuterLevels) {
     const Log expected{{0, 3.0},      {1, 70.0},     {5, 100.0},
                        {2, 4100.0},   {6, 4196.0},   {3, 262200.0},
                        {4, 1.7e7}};
-    EXPECT_EQ(log, expected) << (wheel ? "wheel" : "heap");
-  }
+    EXPECT_EQ(log, expected) << label;
+  });
 }
 
 TEST(EventWheel, InsertAfterPeekKeepsExactOrder) {
   // run_until() peeks next_time(), which may pull a tick into the
   // wheel's current mini-heap; events scheduled afterwards at or before
   // that tick must still sort exactly.
-  for (const bool wheel : {true, false}) {
-    EventQueue q = make_queue(wheel);
+  on_both([](auto& q, const char* label) {
     Log log;
     q.schedule_at(100.25, [&] { log.emplace_back(1, q.now_ms()); });
     q.run_until(50.0);  // peeks 100.25, runs nothing
-    EXPECT_EQ(q.now_ms(), 50.0);
+    EXPECT_EQ(q.now_ms(), 50.0) << label;
     q.schedule_at(100.5, [&] { log.emplace_back(2, q.now_ms()); });
     q.schedule_at(100.125, [&] { log.emplace_back(0, q.now_ms()); });
     q.run_all();
     const Log expected{{0, 100.125}, {1, 100.25}, {2, 100.5}};
-    EXPECT_EQ(log, expected) << (wheel ? "wheel" : "heap");
-  }
+    EXPECT_EQ(log, expected) << label;
+  });
 }
 
 TEST(EventWheel, LazyChainRoundMillionLandsExactly) {
@@ -174,8 +164,8 @@ TEST(EventWheel, LazyChainRoundMillionLandsExactly) {
   EXPECT_EQ(q.now_ms(), offset + static_cast<double>(last) * period);
 }
 
-// --- Fuzzed lockstep: identical self-scheduling workloads on wheel and
-// heap must produce identical execution logs. ---
+// --- Fuzzed lockstep: identical self-scheduling workloads on the wheel
+// and the reference heap must produce identical execution logs. ---
 
 struct Lcg {
   std::uint64_t state;
@@ -198,8 +188,9 @@ double child_delay(std::uint64_t seed, int id, int c) {
   return scale * (1.0 + (rng.next() % 1000) / 1000.0);
 }
 
-Log run_workload(bool wheel, std::uint64_t seed) {
-  EventQueue q = make_queue(wheel);
+template <typename Queue>
+Log run_workload(std::uint64_t seed) {
+  Queue q;
   Log log;
   int next_id = 0;
   // Each event logs itself and spawns 0-2 children until the id budget
@@ -233,8 +224,8 @@ Log run_workload(bool wheel, std::uint64_t seed) {
 
 TEST(EventWheel, FuzzedWorkloadsMatchHeapLockstep) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Log wheel_log = run_workload(/*wheel=*/true, seed);
-    const Log heap_log = run_workload(/*wheel=*/false, seed);
+    const Log wheel_log = run_workload<EventQueue>(seed);
+    const Log heap_log = run_workload<ReferenceQueue>(seed);
     ASSERT_FALSE(wheel_log.empty()) << "seed " << seed;
     EXPECT_EQ(wheel_log, heap_log) << "seed " << seed;
   }
@@ -242,19 +233,18 @@ TEST(EventWheel, FuzzedWorkloadsMatchHeapLockstep) {
 
 TEST(EventWheel, BacklogInstrumentsMatchHeap) {
   // The queue instruments see the same pending counts and latencies on
-  // both structures for the same workload.
+  // the wheel and the reference heap for the same workload.
   obs::Registry reg[2];
   int which = 0;
-  for (const bool wheel : {true, false}) {
-    EventQueue q = make_queue(wheel);
+  on_both([&](auto& q, const char* label) {
     q.set_observer(&reg[which++]);
     int runs = 0;
     for (int i = 0; i < 40; ++i) {
       q.schedule_at(child_delay(99, -1 - i, 0), [&runs] { ++runs; });
     }
     q.run_all();
-    EXPECT_EQ(runs, 40);
-  }
+    EXPECT_EQ(runs, 40) << label;
+  });
   EXPECT_EQ(reg[0].to_text(), reg[1].to_text());
 }
 

@@ -1,9 +1,9 @@
-// Structure-of-arrays shard blocks: the ComponentSlab/DeviceArena
-// storage plan behind SwarmConfig::soa_blocks. The slab must keep
-// constructed elements at stable addresses while growing, destroy them
-// in reverse order, and report its chunk bytes; at the swarm level the
-// SoA toggle must be invisible in reports and merged traces while the
-// resident report stays an honest audit of lazy materialization.
+// Structure-of-arrays shard blocks: the ComponentSlab/ShardBlock storage
+// behind every Swarm shard. The slab must keep constructed elements at
+// stable addresses while growing, destroy them in reverse order, and
+// report its chunk bytes; at the swarm level the resident report must
+// stay an honest audit of lazy materialization, including when a
+// device's construction throws.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -83,20 +83,6 @@ SwarmReport run_fleet(const SwarmConfig& config, std::string* jsonl) {
   return report;
 }
 
-TEST(ShardBlock, SoaToggleInvisibleInReportsAndTraces) {
-  SwarmConfig soa = fleet(8);
-  soa.soa_blocks = true;
-  SwarmConfig heap = fleet(8);
-  heap.soa_blocks = false;
-  std::string soa_jsonl;
-  std::string heap_jsonl;
-  const SwarmReport soa_report = run_fleet(soa, &soa_jsonl);
-  const SwarmReport heap_report = run_fleet(heap, &heap_jsonl);
-  EXPECT_EQ(soa_report, heap_report);
-  EXPECT_FALSE(soa_jsonl.empty());
-  EXPECT_EQ(soa_jsonl, heap_jsonl);
-}
-
 TEST(ShardBlock, MacBatchToggleInvisibleInReportsAndTraces) {
   SwarmConfig batched = fleet(8);
   batched.mac_batch = true;
@@ -112,35 +98,67 @@ TEST(ShardBlock, MacBatchToggleInvisibleInReportsAndTraces) {
 }
 
 TEST(ShardBlock, ResidentReportAuditsLazyMaterialization) {
-  for (const bool soa : {true, false}) {
-    SwarmConfig config = fleet(16);
-    config.soa_blocks = soa;
-    Swarm swarm(config, crypto::from_string("soa-seed"));
-    // Nothing materialized: the fleet costs nothing yet.
-    Swarm::ResidentReport empty = swarm.resident();
-    EXPECT_EQ(empty.devices, 0u) << "soa=" << soa;
-    EXPECT_EQ(empty.total_bytes(), 0u) << "soa=" << soa;
-    // Touch three devices; only they may appear in the report.
+  Swarm swarm(fleet(16), crypto::from_string("soa-seed"));
+  // Nothing materialized: the fleet costs nothing yet.
+  Swarm::ResidentReport empty = swarm.resident();
+  EXPECT_EQ(empty.devices, 0u);
+  EXPECT_EQ(empty.total_bytes(), 0u);
+  // Touch three devices; only they may appear in the report.
+  swarm.prover(0);
+  swarm.prover(5);
+  swarm.prover(11);
+  Swarm::ResidentReport three = swarm.resident();
+  EXPECT_EQ(three.devices, 3u);
+  EXPECT_GT(three.arena_bytes, 0u);
+  EXPECT_GT(three.bus_bytes, 0u);
+  EXPECT_GT(three.table_bytes, 0u);
+  // Re-touching a materialized device is free.
+  swarm.prover(5);
+  Swarm::ResidentReport retouch = swarm.resident();
+  EXPECT_EQ(retouch.devices, 3u);
+  EXPECT_EQ(retouch.total_bytes(), three.total_bytes());
+  // Materializing the rest grows the report device by device.
+  for (std::size_t i = 0; i < swarm.size(); ++i) swarm.prover(i);
+  Swarm::ResidentReport full = swarm.resident();
+  EXPECT_EQ(full.devices, 16u);
+  EXPECT_GT(full.total_bytes(), three.total_bytes());
+  EXPECT_GT(full.per_device_bytes(), 0.0);
+}
+
+TEST(ShardBlock, ThrowingMaterializationLeavesNoDeviceRecord) {
+  // A timestamp scheme without a clock design makes the prover
+  // constructor throw. The failed device must leave no record behind
+  // for materialized_count(), resident() or report() to trip over (a
+  // record with a null prover crashes resident()).
+  SwarmConfig config = fleet(4);
+  config.prover.scheme = FreshnessScheme::kTimestamp;
+  config.prover.clock = attest::ClockDesign::kNone;
+  Swarm swarm(config, crypto::from_string("soa-seed"));
+  std::string first_error;
+  try {
     swarm.prover(0);
-    swarm.prover(5);
-    swarm.prover(11);
-    Swarm::ResidentReport three = swarm.resident();
-    EXPECT_EQ(three.devices, 3u) << "soa=" << soa;
-    EXPECT_GT(three.arena_bytes, 0u) << "soa=" << soa;
-    EXPECT_GT(three.bus_bytes, 0u) << "soa=" << soa;
-    EXPECT_GT(three.table_bytes, 0u) << "soa=" << soa;
-    // Re-touching a materialized device is free.
-    swarm.prover(5);
-    Swarm::ResidentReport retouch = swarm.resident();
-    EXPECT_EQ(retouch.devices, 3u) << "soa=" << soa;
-    EXPECT_EQ(retouch.total_bytes(), three.total_bytes()) << "soa=" << soa;
-    // Materializing the rest grows the report device by device.
-    for (std::size_t i = 0; i < swarm.size(); ++i) swarm.prover(i);
-    Swarm::ResidentReport full = swarm.resident();
-    EXPECT_EQ(full.devices, 16u) << "soa=" << soa;
-    EXPECT_GT(full.total_bytes(), three.total_bytes()) << "soa=" << soa;
-    EXPECT_GT(full.per_device_bytes(), 0.0) << "soa=" << soa;
+    ADD_FAILURE() << "prover(0) did not throw";
+  } catch (const std::invalid_argument& e) {
+    first_error = e.what();
   }
+  EXPECT_FALSE(swarm.is_materialized(0));
+  EXPECT_EQ(swarm.materialized_count(), 0u);
+  const Swarm::ResidentReport r = swarm.resident();
+  EXPECT_EQ(r.devices, 0u);
+  EXPECT_EQ(r.bus_bytes, 0u);
+  EXPECT_EQ(r.table_bytes, 0u);
+  // Retrying fails the same way and still leaves nothing behind.
+  try {
+    swarm.prover(0);
+    ADD_FAILURE() << "second prover(0) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(first_error, e.what());
+  }
+  EXPECT_EQ(swarm.materialized_count(), 0u);
+  EXPECT_EQ(swarm.resident().devices, 0u);
+  const SwarmReport report = swarm.report(100.0);
+  ASSERT_EQ(report.devices.size(), 4u);
+  EXPECT_EQ(report.total_sent(), 0u);
 }
 
 TEST(ShardBlock, SharedImageFleetStaysUnderFootprintBudget) {

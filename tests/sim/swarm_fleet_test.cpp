@@ -1,6 +1,6 @@
 // Fleet-scale Swarm semantics: stagger wrap (no starved devices at any
-// fleet size), lazy self-rescheduling vs the eager reference schedule,
-// wheel vs heap at the swarm level, lazy device materialization, shared
+// fleet size), lazy self-rescheduling vs an eager reference schedule
+// planted through the public API, lazy device materialization, shared
 // app images, derived drain budgets, and drift-free long-horizon
 // segmented replay.
 #include <gtest/gtest.h>
@@ -56,62 +56,51 @@ TEST(SwarmFleet, StaggerWrapKeepsEveryDeviceOnSchedule) {
   }
 }
 
+/// The eager reference schedule, planted through the public API: every
+/// device materialized up front, then every round of it queued at
+/// offset + k * period — O(devices x rounds) pending events.
+SwarmReport run_eager_reference(Swarm& swarm, const SwarmConfig& config,
+                                double horizon_ms) {
+  for (std::size_t i = 0; i < swarm.size(); ++i) {
+    AttestationSession* session = &swarm.session(i);
+    const double offset = std::fmod(
+        config.stagger_ms * static_cast<double>(i), config.attest_period_ms);
+    for (std::uint64_t k = 1;; ++k) {
+      const double t =
+          offset + static_cast<double>(k) * config.attest_period_ms;
+      if (t > horizon_ms) break;
+      swarm.queue_of(i).schedule_at(t, [session] { session->send_request(); });
+    }
+  }
+  EXPECT_EQ(swarm.run_all(), 0u);
+  return swarm.report(horizon_ms);
+}
+
 TEST(SwarmFleet, LazyScheduleMatchesEagerReference) {
-  // The lazy one-event-per-device chain and the legacy eager plant must
-  // produce the same fleet behavior: identical reports and identical
-  // merged traces (the re-arm event IS the send event, so even event
-  // counts per round agree).
+  // The lazy one-event-per-device chain and an eager plant of every
+  // round must produce the same fleet behavior: identical reports and
+  // identical merged traces (the re-arm event IS the send event, so even
+  // event counts per round agree).
   SwarmConfig config = fleet_config(8);
   config.shard_count = 2;
-  SwarmConfig eager = config;
-  eager.eager_schedule = true;
 
   Swarm lazy_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry lazy_reg;
   lazy_swarm.attach_sharded_observer(&lazy_reg);
   const SwarmReport lazy_report = lazy_swarm.run(1000.0);
 
-  Swarm eager_swarm(eager, crypto::from_string("fleet-seed"));
+  Swarm eager_swarm(config, crypto::from_string("fleet-seed"));
   obs::Registry eager_reg;
   eager_swarm.attach_sharded_observer(&eager_reg);
-  const SwarmReport eager_report = eager_swarm.run(1000.0);
+  const SwarmReport eager_report =
+      run_eager_reference(eager_swarm, config, 1000.0);
 
   EXPECT_EQ(lazy_report, eager_report);
   EXPECT_EQ(trace_jsonl(lazy_swarm), trace_jsonl(eager_swarm));
+  EXPECT_GT(lazy_report.total_sent(), 0u);
   // Eager materializes everything up front; lazy only what the horizon
   // touched (here: everything, since every device attests).
   EXPECT_EQ(lazy_swarm.materialized_count(), 8u);
-}
-
-TEST(SwarmFleet, WheelMatchesHeapAtSwarmLevel) {
-  // Same seed, wheel vs reference heap, with a lossy link and reliable
-  // rounds so retry timers and duplicate deliveries stress the
-  // scheduling structures: reports and merged traces must be
-  // byte-identical.
-  SwarmConfig config = fleet_config(16);
-  config.shard_count = 4;
-  config.reliable = true;
-  config.link.name = "lossy";
-  config.link.loss_to_prover = 0.1;
-  config.link.loss_to_verifier = 0.05;
-  config.link.jitter_ms = 3.0;
-  config.link.dup_probability = 0.05;
-  SwarmConfig heap_config = config;
-  heap_config.use_wheel = false;
-
-  Swarm wheel_swarm(config, crypto::from_string("fleet-seed"));
-  obs::Registry wheel_reg;
-  wheel_swarm.attach_sharded_observer(&wheel_reg);
-  const SwarmReport wheel_report = wheel_swarm.run_parallel(1500.0, 4);
-
-  Swarm heap_swarm(heap_config, crypto::from_string("fleet-seed"));
-  obs::Registry heap_reg;
-  heap_swarm.attach_sharded_observer(&heap_reg);
-  const SwarmReport heap_report = heap_swarm.run(1500.0);
-
-  EXPECT_EQ(wheel_report, heap_report);
-  EXPECT_EQ(trace_jsonl(wheel_swarm), trace_jsonl(heap_swarm));
-  EXPECT_GT(wheel_report.total_sent(), 0u);
 }
 
 TEST(SwarmFleet, LazyMaterializationOnlyBuildsScheduledDevices) {
